@@ -4,7 +4,9 @@
 //
 // Always writes a machine-readable run record: unless --benchmark_out
 // is given, results are mirrored to BENCH_micro.json (ns/op per
-// benchmark) so successive PRs can track the perf trajectory.
+// benchmark) so successive PRs can track the perf trajectory. The
+// record's "context" carries the environment stamp of bench_context.h
+// next to google-benchmark's own fields (num_cpus among them).
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -13,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_context.h"
 #include "common/rng.h"
 #include "core/connections.h"
 #include "core/s3k.h"
@@ -98,22 +101,46 @@ BenchInstance& SharedInstance() {
   return *bi;
 }
 
-void BM_MatrixPropagate(benchmark::State& state) {
+// One exploration step of the engine: PropagateBatchAdaptive at
+// lanes:{1,4,8}, seeded at that many users. dense:0 times the first
+// step from the seeds (a sparse frontier: the push side); dense:1 the
+// step after six more, when the frontier has spread over the seekers'
+// reach (the sliced pull side). Counter `pull` reports the side taken.
+void BM_PropagateStep(benchmark::State& state) {
   auto& bi = SharedInstance();
   const auto& inst = *bi.gen.instance;
-  social::Frontier f, g;
-  f.Init(inst.layout().total());
-  g.Init(inst.layout().total());
-  f.Set(inst.RowOfUser(0), 1.0);
-  // Warm two steps so the frontier is wide.
-  inst.matrix().Propagate(f, g);
-  inst.matrix().Propagate(g, f);
-  for (auto _ : state) {
-    inst.matrix().Propagate(f, g);
-    benchmark::DoNotOptimize(g.values.data());
+  const auto& m = inst.matrix();
+  const size_t lanes = static_cast<size_t>(state.range(0));
+  const bool dense = state.range(1) != 0;
+  social::BatchFrontier f, g;
+  f.Init(m.rows(), lanes);
+  g.Init(m.rows(), lanes);
+  for (size_t l = 0; l < lanes; ++l) {
+    f.Set(inst.RowOfUser(static_cast<social::UserId>(l * 97 %
+                                                     inst.UserCount())),
+          l, 1.0);
   }
+  for (int step = 0; dense && step < 6; ++step) {
+    m.PropagateBatchAdaptive(f, g, nullptr);
+    std::swap(f, g);
+  }
+  bool used_pull = false;
+  for (auto _ : state) {
+    m.PropagateBatchAdaptive(f, g, nullptr, &used_pull);
+    benchmark::DoNotOptimize(g.values.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["pull"] = used_pull ? 1.0 : 0.0;
+  state.counters["frontier_rows"] = static_cast<double>(f.nonzero.size());
 }
-BENCHMARK(BM_MatrixPropagate);
+BENCHMARK(BM_PropagateStep)
+    ->ArgNames({"lanes", "dense"})
+    ->Args({1, 0})
+    ->Args({1, 1})
+    ->Args({4, 0})
+    ->Args({4, 1})
+    ->Args({8, 0})
+    ->Args({8, 1});
 
 void BM_ComponentCandidates(benchmark::State& state) {
   auto& bi = SharedInstance();
@@ -313,6 +340,9 @@ int main(int argc, char** argv) {
     args.push_back(fmt_flag.data());
   }
   int args_count = static_cast<int>(args.size());
+  for (const auto& [key, value] : s3::bench::BenchContext()) {
+    if (key != "nproc") benchmark::AddCustomContext(key, value);
+  }
   benchmark::Initialize(&args_count, args.data());
   if (benchmark::ReportUnrecognizedArguments(args_count, args.data())) {
     return 1;

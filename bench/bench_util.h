@@ -9,6 +9,7 @@
 #ifndef S3_BENCH_BENCH_UTIL_H_
 #define S3_BENCH_BENCH_UTIL_H_
 
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -19,6 +20,7 @@
 
 #include "baseline/flatten.h"
 #include "baseline/topks.h"
+#include "bench_context.h"
 #include "common/timer.h"
 #include "core/s3k.h"
 #include "eval/runtime.h"
@@ -44,9 +46,11 @@ inline uint32_t Scaled(uint32_t base) {
 }
 
 // Machine-readable run record, mirroring google-benchmark's JSON shape
-// ({"benchmarks": [{"name", "ns_per_op", ...}]}), so BENCH_*.json files
-// from the figure harnesses and from bench_micro can be diffed with the
-// same tooling. Records are flushed on destruction.
+// ({"context": {...}, "benchmarks": [{"name", "ns_per_op", ...}]}), so
+// BENCH_*.json files from the figure harnesses and from bench_micro can
+// be diffed with the same tooling. The context block is this run's
+// environment stamp (bench_context.h). Records are flushed on
+// destruction.
 //
 // With merge = true the writer keeps the records already present in
 // `path` whose names this run does not re-emit, so several bench
@@ -73,7 +77,8 @@ class BenchJsonWriter {
     if (merge_) MergeExisting();
     std::ofstream out(path_);
     if (!out) return;
-    out << "{\n  \"benchmarks\": [\n";
+    out << "{\n  \"context\": " << BenchContextJson()
+        << ",\n  \"benchmarks\": [\n";
     for (size_t i = 0; i < records_.size(); ++i) {
       out << records_[i] << (i + 1 < records_.size() ? ",\n" : "\n");
     }
@@ -83,22 +88,29 @@ class BenchJsonWriter {
   }
 
  private:
-  // Value of the "name" field anywhere in `record` ("" when absent).
-  // Tolerant of both this writer's compact one-line records and
-  // google-benchmark's pretty-printed objects.
-  static std::string RecordName(const std::string& record) {
-    const std::string marker = "\"name\"";
-    size_t at = record.find(marker);
+  // Value of the first `key` field in `json` ("" when absent): a
+  // string's contents, or a number's digits. Tolerant of both this
+  // writer's compact one-line records and google-benchmark's
+  // pretty-printed objects.
+  static std::string FieldValue(const std::string& json,
+                                const std::string& key) {
+    const std::string marker = "\"" + key + "\"";
+    size_t at = json.find(marker);
     if (at == std::string::npos) return "";
     at += marker.size();
-    while (at < record.size() &&
-           (record[at] == ' ' || record[at] == ':')) {
-      ++at;
+    while (at < json.size() && (json[at] == ' ' || json[at] == ':')) ++at;
+    if (at < json.size() && json[at] == '"') {
+      const size_t end = json.find('"', ++at);
+      return end == std::string::npos ? "" : json.substr(at, end - at);
     }
-    if (at >= record.size() || record[at] != '"') return "";
-    ++at;
-    size_t end = record.find('"', at);
-    return end == std::string::npos ? "" : record.substr(at, end - at);
+    size_t end = at;
+    while (end < json.size() && (std::isalnum(json[end]) || json[end] == '.')) {
+      ++end;
+    }
+    return json.substr(at, end - at);
+  }
+  static std::string RecordName(const std::string& record) {
+    return FieldValue(record, "name");
   }
 
   // One-line form of a JSON object: whitespace outside strings is
@@ -151,6 +163,17 @@ class BenchJsonWriter {
 
     std::unordered_set<std::string> fresh;
     for (const std::string& r : records_) fresh.insert(RecordName(r));
+    // Kept records measured on a different CPU count than this run (or
+    // on an unknown one) carry their own "nproc", since the file's
+    // context block will describe this run.
+    const std::string head = content.substr(0, at);
+    std::string old_cpus = FieldValue(head, "nproc");
+    if (old_cpus.empty()) old_cpus = FieldValue(head, "num_cpus");
+    if (old_cpus.empty()) old_cpus = "null";
+    const std::string stamp =
+        old_cpus == FieldValue(BenchContextJson(), "nproc")
+            ? ""
+            : ", \"nproc\": " + old_cpus;
 
     std::vector<std::string> kept;
     int depth = 0;
@@ -176,7 +199,11 @@ class BenchJsonWriter {
               content.substr(obj_start, i - obj_start + 1);
           std::string name = RecordName(obj);
           if (!name.empty() && !fresh.count(name)) {
-            kept.push_back(CompactObject(obj));
+            std::string record = CompactObject(obj);
+            if (FieldValue(record, "nproc").empty()) {
+              record.insert(record.size() - 1, stamp);
+            }
+            kept.push_back(std::move(record));
           }
           obj_start = std::string::npos;
         }

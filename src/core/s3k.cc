@@ -171,20 +171,6 @@ S3kSearcher::S3kSearcher(const S3Instance& instance, S3kOptions options)
   }
 }
 
-const std::vector<uint32_t>& S3kSearcher::RowsOfReachRoot(uint32_t root) {
-  if (!rows_by_root_built_) {
-    const social::EntityLayout& layout = instance_.layout();
-    const uint32_t total = layout.total();
-    for (uint32_t row = 0; row < total; ++row) {
-      const social::UserId owner =
-          instance_.OwnerOfEntity(layout.Entity(row));
-      rows_by_root_[instance_.ReachRootOfUser(owner)].push_back(row);
-    }
-    rows_by_root_built_ = true;  // ascending pass → each list is sorted
-  }
-  return rows_by_root_[root];
-}
-
 Result<std::vector<ResultEntry>> S3kSearcher::Search(
     const QueryRequest& query, SearchStats* stats) {
   WallTimer timer;
@@ -374,23 +360,6 @@ Result<std::vector<BatchQueryResult>> S3kSearcher::SearchBatchWithPlan(
     return !have_reach || plan.comp_reach_root[slot] == seeker_root[s];
   };
 
-  // Pull-restricted propagation: frontier mass seeded at a seeker can
-  // only ever reach rows whose owner shares the seeker's reach root
-  // (T's entries never cross reach components), so when every lane
-  // agrees on the root, the dense (pull) propagation step can gather
-  // just those rows — every skipped row gathers exactly 0.0, keeping
-  // the step bit-for-bit. Only worth the indirection when the
-  // restriction actually cuts the sweep down.
-  const std::vector<uint32_t>* pull_rows = nullptr;
-  bool same_root = true;
-  for (size_t s = 1; s < B; ++s) {
-    same_root = same_root && seeker_root[s] == seeker_root[0];
-  }
-  if (same_root) {
-    const std::vector<uint32_t>& rr = RowsOfReachRoot(seeker_root[0]);
-    if (rr.size() * 2 <= total_rows) pull_rows = &rr;
-  }
-
   social::BatchFrontier& frontier = frontier_;
   social::BatchFrontier& next = next_;
   ResetFrontier(frontier, total_rows, L);
@@ -562,7 +531,7 @@ Result<std::vector<BatchQueryResult>> S3kSearcher::SearchBatchWithPlan(
       if (!finished[s] && !exhausted[s]) any_frontier = true;
     }
     if (any_frontier) {
-      matrix.PropagateBatchAdaptive(frontier, next, pool_.get(), pull_rows,
+      matrix.PropagateBatchAdaptive(frontier, next, pool_.get(),
                                     &iter_used_pull);
       std::swap(frontier, next);
       for (size_t s = 0; s < B; ++s) {

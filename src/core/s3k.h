@@ -14,7 +14,6 @@
 #define S3_CORE_S3K_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -330,12 +329,6 @@ class S3kSearcher {
   unsigned thread_limit() const { return thread_limit_; }
 
  private:
-  // Sorted entity rows whose owner's reach root is `root` — the only
-  // rows a frontier seeded at such a user can ever hold mass on, hence
-  // a sound pull restriction for PropagateBatchAdaptive. Built lazily
-  // (one pass over the layout) on the first fat query that wants it.
-  const std::vector<uint32_t>& RowsOfReachRoot(uint32_t root);
-
   const S3Instance& instance_;
   S3kOptions options_;
   // Persistent worker pool for intra-query parallelism (created in the
@@ -352,10 +345,6 @@ class S3kSearcher {
   std::vector<std::vector<uint32_t>> slot_orders_;
   // Effective-concurrency cap (see set_thread_limit; 0 = uncapped).
   unsigned thread_limit_ = 0;
-  // Lazy reach-root → member-rows index for pull-restricted
-  // propagation (keyed by reach root; rows ascending).
-  std::unordered_map<uint32_t, std::vector<uint32_t>> rows_by_root_;
-  bool rows_by_root_built_ = false;
 };
 
 }  // namespace s3::core

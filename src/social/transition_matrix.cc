@@ -15,29 +15,43 @@ namespace s3::social {
 namespace {
 
 // Runtime kernel dispatch: the AVX2 TU (compiled with -mavx2, no FMA
-// contraction, no fast-math) is bit-for-bit equal to the scalar
-// build — only the element-wise lane dimension vectorizes — so the
-// dispatch is purely a throughput decision.
+// contraction, no fast-math) is bit-for-bit equal to the portable
+// build — every row keeps its scalar summation order — so the dispatch
+// is purely a throughput decision.
 #if defined(S3_SIMD_AVX2)
 const bool kHaveAvx2 = __builtin_cpu_supports("avx2");
 #endif
 
-inline void ScatterRowD(size_t lanes, const uint32_t* cols,
-                        const double* vals, size_t n, const double* mass,
-                        double* out) {
+inline size_t PullWindowsD(size_t lanes, const pk::SlicedView& m,
+                           size_t w_begin, size_t w_end, const double* in,
+                           double* out, uint32_t* nz, uint8_t* lane_mass) {
 #if defined(S3_SIMD_AVX2)
-  if (kHaveAvx2) return avx2::ScatterRow(lanes, cols, vals, n, mass, out);
+  if (kHaveAvx2) {
+    return avx2::PullWindows(lanes, m, w_begin, w_end, in, out, nz,
+                             lane_mass);
+  }
 #endif
-  pk::ScatterRow(lanes, cols, vals, n, mass, out);
+  return pk::PullWindows(lanes, m, w_begin, w_end, in, out, nz, lane_mass);
 }
 
-inline void GatherRowD(size_t lanes, const uint32_t* cols, const double* vals,
-                       size_t n, const double* in, double* acc) {
+inline void ScatterRowsD(size_t lanes, const uint64_t* row_ptr,
+                         const uint32_t* cols, const double* vals,
+                         const uint32_t* src, size_t n_src, const double* in,
+                         double* out) {
 #if defined(S3_SIMD_AVX2)
-  if (kHaveAvx2) return avx2::GatherRow(lanes, cols, vals, n, in, acc);
+  if (kHaveAvx2) {
+    return avx2::ScatterRows(lanes, row_ptr, cols, vals, src, n_src, in, out);
+  }
 #endif
-  pk::GatherRow(lanes, cols, vals, n, in, acc);
+  pk::ScatterRows(lanes, row_ptr, cols, vals, src, n_src, in, out);
 }
+
+// Push/pull crossover: per matrix entry a push step costs ~39 / 24 / 17
+// times a pull sweep at 1 / 4 / 8 lanes (measurements in
+// propagate_kernels.h), so pull once the frontier's CSR rows hold more
+// than 1/kPushCostPerEntry of the sliced entries; the constant leans to
+// the one-lane ratio, the serving path's common case.
+constexpr uint64_t kPushCostPerEntry = 32;
 
 }  // namespace
 
@@ -64,6 +78,7 @@ double Frontier::Sum() const {
 
 void BatchFrontier::Init(size_t total_rows, size_t n_lanes) {
   assert(n_lanes >= 1 && n_lanes <= kMaxFrontierLanes);
+  assert(n_lanes == PadLanes(n_lanes));  // the kernels' lane widths
   lanes = n_lanes;
   values.assign(total_rows * n_lanes, 0.0);
   nonzero.clear();
@@ -73,9 +88,19 @@ void BatchFrontier::Init(size_t total_rows, size_t n_lanes) {
 }
 
 void BatchFrontier::Clear() {
-  for (uint32_t row : nonzero) {
-    double* p = &values[static_cast<size_t>(row) * lanes];
-    for (size_t l = 0; l < lanes; ++l) p[l] = 0.0;
+  // Fixed-width stores: a runtime-length loop per row compiles to one
+  // memset call per row. Lane counts are 1, 2 or multiples of 4.
+  if (lanes == 1) {
+    for (uint32_t row : nonzero) values[row] = 0.0;
+  } else if (lanes == 2) {
+    for (uint32_t row : nonzero) values[2 * row] = values[2 * row + 1] = 0.0;
+  } else {
+    for (uint32_t row : nonzero) {
+      double* p = &values[static_cast<size_t>(row) * lanes];
+      for (size_t b = 0; b < lanes; b += 4) {
+        p[b] = p[b + 1] = p[b + 2] = p[b + 3] = 0.0;
+      }
+    }
   }
   nonzero.clear();
   std::fill(lane_mass.begin(), lane_mass.end(), 0);
@@ -130,21 +155,62 @@ void TransitionMatrix::AppendComputedRow(
   b.row_ptr[row + 1] = b.cols.size();
 }
 
-void TransitionMatrix::BuildTranspose() {
+void TransitionMatrix::BuildSlicedTranspose() {
+  constexpr size_t C = pk::kSliceRows, kSigma = pk::kSortWindow;
   const size_t total = rows();
-  t_row_ptr_.assign(total + 1, 0);
-  for (uint32_t col : cols_) ++t_row_ptr_[col + 1];
-  for (uint32_t r = 0; r < total; ++r) t_row_ptr_[r + 1] += t_row_ptr_[r];
-  t_cols_.resize(cols_.size());
-  t_vals_.resize(vals_.size());
-  std::vector<uint64_t> cursor(t_row_ptr_.begin(), t_row_ptr_.end() - 1);
-  for (uint32_t row = 0; row < total; ++row) {
-    for (uint64_t i = row_ptr_[row]; i < row_ptr_[row + 1]; ++i) {
-      uint64_t pos = cursor[cols_[i]]++;
-      t_cols_[pos] = row;
-      t_vals_[pos] = vals_[i];
+  std::vector<uint32_t> in_degree(total, 0);
+  for (size_t i = 0; i < cols_.size(); ++i) ++in_degree[cols_[i]];
+
+  // Slice shape: per σ window, the rows with in-edges by descending
+  // in-degree (ties by row), cut into slices of C rows; a slice is as
+  // wide as its first row. `next[row]` is where the row's next entry
+  // goes: its slice's current entry block plus its slot.
+  SlicedTranspose t;
+  const size_t n_windows = (total + kSigma - 1) / kSigma;
+  t.window.reserve(n_windows + 1);
+  t.ptr.push_back(0);
+  std::vector<uint64_t> next(total, 0);
+  std::vector<uint32_t> order;
+  for (size_t w = 0; w < n_windows; ++w) {
+    t.window.push_back(static_cast<uint32_t>(t.ptr.size() - 1));
+    order.clear();
+    for (size_t r = w * kSigma; r < std::min(total, (w + 1) * kSigma); ++r) {
+      if (in_degree[r] > 0) order.push_back(static_cast<uint32_t>(r));
+    }
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      return in_degree[a] != in_degree[b] ? in_degree[a] > in_degree[b]
+                                          : a < b;
+    });
+    for (size_t k = 0; k < order.size(); k += C) {
+      const uint64_t base = t.ptr.back();
+      for (size_t c = 0; c < C; ++c) {
+        if (k + c < order.size()) {
+          t.rows.push_back(order[k + c]);
+          next[order[k + c]] = base + c;
+        } else {
+          t.rows.push_back(pk::kNoRow);
+        }
+      }
+      t.ptr.push_back(base + C * in_degree[order[k]]);
     }
   }
+  t.window.push_back(static_cast<uint32_t>(t.ptr.size() - 1));
+  t.ptr.shrink_to_fit();
+  t.rows.shrink_to_fit();
+
+  // Fill in ascending source-row order, so each row's entries keep the
+  // summation order of the push step; unfilled slots stay padding.
+  t.cols.assign(t.ptr.back(), 0);
+  t.vals.assign(t.ptr.back(), 0.0);
+  for (uint32_t src = 0; src < total; ++src) {
+    for (uint64_t i = row_ptr_[src]; i < row_ptr_[src + 1]; ++i) {
+      const uint64_t pos = next[cols_[i]];
+      next[cols_[i]] = pos + C;
+      t.cols[pos] = src;
+      t.vals[pos] = vals_[i];
+    }
+  }
+  sliced_ = std::move(t);
 }
 
 Status TransitionMatrix::Adopt(StorageSpan<uint64_t> row_ptr,
@@ -154,6 +220,7 @@ Status TransitionMatrix::Adopt(StorageSpan<uint64_t> row_ptr,
   auto bad = [](const std::string& why) {
     return Status::InvalidArgument("transition matrix: " + why);
   };
+  if (n_rows > kMaxMatrixRows) return bad("row count beyond the gather limit");
   if (row_ptr.size() != n_rows + 1 || denom.size() != n_rows) {
     return bad("row count mismatch");
   }
@@ -174,7 +241,7 @@ Status TransitionMatrix::Adopt(StorageSpan<uint64_t> row_ptr,
   cols_ = std::move(cols);
   vals_ = std::move(vals);
   denom_ = std::move(denom);
-  BuildTranspose();
+  BuildSlicedTranspose();
   return Status::OK();
 }
 
@@ -182,6 +249,7 @@ void TransitionMatrix::Build(const EntityLayout& layout,
                              const EdgeStore& edges,
                              const doc::DocumentStore& docs) {
   const uint32_t total = layout.total();
+  assert(total <= kMaxMatrixRows);
   CsrBuild b;
   b.row_ptr.assign(total + 1, 0);
   b.denom.assign(total, 0.0);
@@ -197,7 +265,7 @@ void TransitionMatrix::Build(const EntityLayout& layout,
   cols_ = std::move(b.cols);
   vals_ = std::move(b.vals);
   denom_ = std::move(b.denom);
-  BuildTranspose();
+  BuildSlicedTranspose();
 }
 
 void TransitionMatrix::IncrementalUpdate(const EntityLayout& new_layout,
@@ -209,6 +277,7 @@ void TransitionMatrix::IncrementalUpdate(const EntityLayout& new_layout,
   const uint32_t total = new_layout.total();
   const uint32_t old_total = static_cast<uint32_t>(rows());
   const uint32_t new_frag_end = old_tag_base + n_new_fragments;
+  assert(total <= kMaxMatrixRows);
   assert(touched.size() == total);
 
   // The pre-delta CSR (possibly view-backed on a mapped base) is read
@@ -259,35 +328,7 @@ void TransitionMatrix::IncrementalUpdate(const EntityLayout& new_layout,
   cols_ = std::move(b.cols);
   vals_ = std::move(b.vals);
   denom_ = std::move(b.denom);
-  BuildTranspose();
-}
-
-void TransitionMatrix::PropagateParallel(const Frontier& in, Frontier& out,
-                                         ThreadPool& pool) const {
-  assert(out.values.size() == in.values.size());
-  out.Clear();
-  const size_t total = rows();
-  const size_t n_chunks = (pool.WorkerCount() + 1) * 4;
-  const size_t chunk = (total + n_chunks - 1) / n_chunks;
-  std::vector<std::vector<uint32_t>> nz_per_chunk(n_chunks);
-  pool.ParallelFor(n_chunks, [&](size_t c) {
-    const size_t begin = c * chunk;
-    const size_t end = std::min(total, begin + chunk);
-    auto& nz = nz_per_chunk[c];
-    for (size_t row = begin; row < end; ++row) {
-      double sum;
-      const uint64_t rb = t_row_ptr_[row];
-      GatherRowD(1, t_cols_.data() + rb, t_vals_.data() + rb,
-                 t_row_ptr_[row + 1] - rb, in.values.data(), &sum);
-      if (sum != 0.0) {
-        out.values[row] = sum;
-        nz.push_back(static_cast<uint32_t>(row));
-      }
-    }
-  });
-  for (auto& nz : nz_per_chunk) {
-    out.nonzero.insert(out.nonzero.end(), nz.begin(), nz.end());
-  }
+  BuildSlicedTranspose();
 }
 
 void TransitionMatrix::Propagate(const Frontier& in, Frontier& out) const {
@@ -302,45 +343,6 @@ void TransitionMatrix::Propagate(const Frontier& in, Frontier& out) const {
       out.values[col] += mass * vals_[i];
     }
   }
-}
-
-void TransitionMatrix::PropagateAdaptive(const Frontier& in, Frontier& out,
-                                         ThreadPool* pool) const {
-  // Pull reads all nnz transpose entries sequentially; push scatters
-  // into `touched` of them. The crossover sits where the scatter
-  // traffic approaches the full sequential sweep. The measurement
-  // stops as soon as the verdict is known.
-  const uint64_t touched_cut = nonzeros() / 4;
-  uint64_t touched = 0;
-  for (uint32_t row : in.nonzero) {
-    touched += row_ptr_[row + 1] - row_ptr_[row];
-    if (touched >= touched_cut) break;
-  }
-  const bool dense = touched >= touched_cut ||
-                     in.nonzero.size() * 4 >= rows();
-  if (dense && pool != nullptr) {
-    // Chunks are contiguous, ascending row ranges, so the concatenated
-    // nonzero list comes out sorted.
-    PropagateParallel(in, out, *pool);
-    return;
-  }
-  if (dense) {
-    out.Clear();
-    const size_t total = rows();
-    for (size_t row = 0; row < total; ++row) {
-      double sum;
-      const uint64_t rb = t_row_ptr_[row];
-      GatherRowD(1, t_cols_.data() + rb, t_vals_.data() + rb,
-                 t_row_ptr_[row + 1] - rb, in.values.data(), &sum);
-      if (sum != 0.0) {
-        out.values[row] = sum;
-        out.nonzero.push_back(static_cast<uint32_t>(row));
-      }
-    }
-    return;
-  }
-  Propagate(in, out);
-  std::sort(out.nonzero.begin(), out.nonzero.end());
 }
 
 void TransitionMatrix::PropagateBatchPush(const BatchFrontier& in,
@@ -361,18 +363,18 @@ void TransitionMatrix::PropagateBatchPush(const BatchFrontier& in,
     const double* mass = &in.values[static_cast<size_t>(row) * L];
     bool any = false;
     for (size_t l = 0; l < L && !any; ++l) any = mass[l] != 0.0;
-    if (!any) continue;  // e.g. every lane holding this row dropped out
-    const uint64_t begin = row_ptr_[row], end = row_ptr_[row + 1];
-    for (uint64_t i = begin; i < end; ++i) {
+    if (!any) continue;  // the kernel skips the row too
+    for (uint64_t i = row_ptr_[row]; i < row_ptr_[row + 1]; ++i) {
       const uint32_t col = cols_[i];
       if (out.touch_epoch[col] != e) {
         out.touch_epoch[col] = e;
         touched.push_back(col);
       }
     }
-    ScatterRowD(L, cols_.data() + begin, vals_.data() + begin, end - begin,
-                mass, out.values.data());
   }
+  ScatterRowsD(L, row_ptr_.data(), cols_.data(), vals_.data(),
+               in.nonzero.data(), in.nonzero.size(), in.values.data(),
+               out.values.data());
   std::sort(touched.begin(), touched.end());
   // Keep only columns with some surviving lane value; flag lane
   // survival while at it.
@@ -391,111 +393,67 @@ void TransitionMatrix::PropagateBatchPush(const BatchFrontier& in,
   touched.resize(w);
 }
 
-void TransitionMatrix::PropagateBatchPull(
-    const BatchFrontier& in, BatchFrontier& out, ThreadPool* pool,
-    const std::vector<uint32_t>* pull_rows) const {
+void TransitionMatrix::PropagateBatchPull(const BatchFrontier& in,
+                                          BatchFrontier& out,
+                                          ThreadPool* pool) const {
   const size_t L = in.lanes;
   out.Clear();
-  // When a restriction list is given, only those rows are gathered —
-  // the caller guarantees every skipped row gathers exactly 0.0, so
-  // leaving it zeroed (Clear above) is what the full sweep would have
-  // stored. The list is ascending, so nonzero stays sorted.
-  const size_t total = pull_rows != nullptr ? pull_rows->size() : rows();
-  auto row_at = [&](size_t i) {
-    return pull_rows != nullptr ? (*pull_rows)[i]
-                                : static_cast<uint32_t>(i);
-  };
-  const double* inv = in.values.data();
+  // The kernel lists nonzero rows in place: room for every row.
+  out.nonzero.resize(rows());
+  const pk::SlicedView view = sliced_.view();
+  const size_t n_windows = sliced_.window.size() - 1;
   if (pool == nullptr) {
-    double acc[kMaxFrontierLanes];
-    for (size_t i = 0; i < total; ++i) {
-      const uint32_t row = row_at(i);
-      const uint64_t begin = t_row_ptr_[row], end = t_row_ptr_[row + 1];
-      GatherRowD(L, t_cols_.data() + begin, t_vals_.data() + begin,
-                 end - begin, inv, acc);
-      bool any = false;
-      for (size_t l = 0; l < L; ++l) {
-        if (acc[l] != 0.0) {
-          any = true;
-          out.lane_mass[l] = 1;
-        }
-      }
-      if (any) {
-        std::copy(acc, acc + L, &out.values[static_cast<size_t>(row) * L]);
-        out.nonzero.push_back(row);
-      }
-    }
+    out.nonzero.resize(PullWindowsD(L, view, 0, n_windows, in.values.data(),
+                                    out.values.data(), out.nonzero.data(),
+                                    out.lane_mass.data()));
     return;
   }
-  // Chunks are contiguous ascending row ranges (as in
-  // PropagateParallel), so the concatenated nonzero list stays sorted.
+  // Chunks are contiguous ascending window ranges: no two write the
+  // same row, and each lists its rows at its first row's offset, so
+  // sliding the lists down in chunk order keeps `nonzero` sorted.
   const size_t n_chunks = (pool->WorkerCount() + 1) * 4;
-  const size_t chunk = (total + n_chunks - 1) / n_chunks;
-  std::vector<std::vector<uint32_t>> nz_per_chunk(n_chunks);
+  const size_t chunk = (n_windows + n_chunks - 1) / n_chunks;
+  auto first_window = [&](size_t c) { return std::min(n_windows, c * chunk); };
+  auto listing = [&](size_t c) {
+    return out.nonzero.data() +
+           std::min(rows(), first_window(c) * pk::kSortWindow);
+  };
+  std::vector<size_t> listed(n_chunks);
   std::vector<std::array<uint8_t, kMaxFrontierLanes>> mass_per_chunk(
       n_chunks);
   pool->ParallelFor(n_chunks, [&](size_t c) {
-    const size_t begin_i = c * chunk;
-    const size_t end_i = std::min(total, begin_i + chunk);
-    auto& nz = nz_per_chunk[c];
-    auto& lm = mass_per_chunk[c];
-    lm.fill(0);
-    double acc[kMaxFrontierLanes];
-    for (size_t i = begin_i; i < end_i; ++i) {
-      const uint32_t row = row_at(i);
-      const uint64_t begin = t_row_ptr_[row], end = t_row_ptr_[row + 1];
-      GatherRowD(L, t_cols_.data() + begin, t_vals_.data() + begin,
-                 end - begin, inv, acc);
-      bool any = false;
-      for (size_t l = 0; l < L; ++l) {
-        if (acc[l] != 0.0) {
-          any = true;
-          lm[l] = 1;
-        }
-      }
-      if (any) {
-        std::copy(acc, acc + L, &out.values[static_cast<size_t>(row) * L]);
-        nz.push_back(row);
-      }
-    }
+    mass_per_chunk[c].fill(0);
+    listed[c] = PullWindowsD(L, view, first_window(c), first_window(c + 1),
+                             in.values.data(), out.values.data(), listing(c),
+                             mass_per_chunk[c].data());
   });
+  size_t n = 0;
   for (size_t c = 0; c < n_chunks; ++c) {
-    out.nonzero.insert(out.nonzero.end(), nz_per_chunk[c].begin(),
-                       nz_per_chunk[c].end());
-    for (size_t l = 0; l < L; ++l) {
-      if (mass_per_chunk[c][l]) out.lane_mass[l] = 1;
-    }
+    std::copy(listing(c), listing(c) + listed[c], out.nonzero.data() + n);
+    n += listed[c];
+    for (size_t l = 0; l < L; ++l) out.lane_mass[l] |= mass_per_chunk[c][l];
   }
+  out.nonzero.resize(n);
 }
 
-void TransitionMatrix::PropagateBatchAdaptive(
-    const BatchFrontier& in, BatchFrontier& out, ThreadPool* pool,
-    const std::vector<uint32_t>* pull_rows, bool* used_pull) const {
-  // Same crossover heuristic as PropagateAdaptive, measured on the
-  // union support. The verdict may differ from what any single lane
-  // would have chosen alone — harmless, because push and pull are
-  // bitwise-identical per lane (ascending source-row accumulation both
-  // ways). A pull restriction shrinks the pull side of the crossover
-  // proportionally: the gather only sweeps the restricted rows'
-  // transpose entries.
-  const size_t pull_span = pull_rows != nullptr ? pull_rows->size() : rows();
-  uint64_t touched_cut = nonzeros() / 4;
-  if (pull_rows != nullptr && rows() > 0) {
-    touched_cut = std::max<uint64_t>(
-        1, static_cast<uint64_t>(static_cast<double>(touched_cut) *
-                                 static_cast<double>(pull_span) /
-                                 static_cast<double>(rows())));
-  }
+void TransitionMatrix::PropagateBatchAdaptive(const BatchFrontier& in,
+                                              BatchFrontier& out,
+                                              ThreadPool* pool,
+                                              bool* used_pull) const {
+  // The verdict is measured on the union support and may differ from
+  // what any single lane would have chosen alone — harmless, because
+  // push and pull are bitwise-identical per lane. The measurement
+  // stops as soon as the verdict is known.
+  const uint64_t touched_cut = sliced_.ptr.back() / kPushCostPerEntry;
   uint64_t touched = 0;
   for (uint32_t row : in.nonzero) {
     touched += row_ptr_[row + 1] - row_ptr_[row];
     if (touched >= touched_cut) break;
   }
-  const bool dense = touched >= touched_cut ||
-                     in.nonzero.size() * 4 >= pull_span;
+  const bool dense = touched >= touched_cut;
   if (used_pull != nullptr) *used_pull = dense;
   if (dense) {
-    PropagateBatchPull(in, out, pool, pull_rows);
+    PropagateBatchPull(in, out, pool);
   } else {
     PropagateBatchPush(in, out);
   }

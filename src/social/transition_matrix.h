@@ -16,7 +16,9 @@
 #ifndef S3_SOCIAL_TRANSITION_MATRIX_H_
 #define S3_SOCIAL_TRANSITION_MATRIX_H_
 
+#include <climits>
 #include <cstdint>
+#include <new>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -27,6 +29,7 @@
 #include "doc/document_store.h"
 #include "social/edge_store.h"
 #include "social/entity.h"
+#include "social/propagate_kernels.h"
 
 namespace s3::social {
 
@@ -44,14 +47,40 @@ struct Frontier {
 // Hard cap on the lane count of a BatchFrontier (and hence on the
 // multi-seeker batch width): bounds the stack accumulators inside the
 // pull kernels.
-inline constexpr size_t kMaxFrontierLanes = 32;
+inline constexpr size_t kMaxFrontierLanes = pk::kMaxLanes;
 
 // Rounds a batch width up to a kernel-friendly lane count: 1, 2, 4 or
-// the next multiple of 4 (see pk::ScatterRow/GatherRow dispatch).
+// the next multiple of 4 (see the pk::PullWindows/ScatterRows dispatch).
 inline constexpr size_t PadLanes(size_t b) {
   if (b <= 2) return b < 1 ? 1 : b;
   return (b + 3) / 4 * 4;
 }
+
+// Largest row count a TransitionMatrix holds: the one-lane pull
+// gathers with signed 32-bit indices.
+inline constexpr size_t kMaxMatrixRows = INT32_MAX;
+
+// Allocator for BatchFrontier::values: 64-byte (cache-line) aligned,
+// so the kernels' 32-byte lane loads never straddle two cache lines
+// (malloc only guarantees 16 bytes).
+template <class T>
+struct CacheLineAllocator {
+  using value_type = T;
+  static constexpr std::align_val_t kAlign{64};
+  CacheLineAllocator() = default;
+  template <class U>
+  CacheLineAllocator(const CacheLineAllocator<U>&) {}
+  T* allocate(size_t n) {
+    return static_cast<T*>(::operator new(n * sizeof(T), kAlign));
+  }
+  void deallocate(T* p, size_t n) {
+    ::operator delete(p, n * sizeof(T), kAlign);
+  }
+  template <class U>
+  bool operator==(const CacheLineAllocator<U>&) const {
+    return true;
+  }
+};
 
 // L per-seeker frontiers in one dense SoA buffer: values[row*lanes + l]
 // is lane l's mass on `row` (the SpMM right-hand-side layout of
@@ -60,11 +89,12 @@ inline constexpr size_t PadLanes(size_t b) {
 // frontier exhaustion is tracked per lane in `lane_mass` (a lane can
 // die out while the union stays populated).
 struct BatchFrontier {
-  std::vector<double> values;      // total_rows * lanes
+  std::vector<double, CacheLineAllocator<double>> values;  // rows * lanes
   std::vector<uint32_t> nonzero;   // union over lanes
   std::vector<uint8_t> lane_mass;  // lane has some nonzero value
   size_t lanes = 0;
 
+  // `n_lanes` is a PadLanes width: 1, 2 or a multiple of 4.
   void Init(size_t total_rows, size_t n_lanes);
   void Clear();
   // Sets one lane's value (seeker seeding); keeps `nonzero` deduped
@@ -78,6 +108,22 @@ struct BatchFrontier {
   // First-touch scatter scratch for the push step (epoch-marked).
   std::vector<uint32_t> touch_epoch;
   uint32_t epoch = 0;
+};
+
+// T's transpose as SELL-4-σ slices (layout and bit-for-bit argument in
+// propagate_kernels.h): the in-edges of every row that has any, in
+// ascending source-row order, 4 rows per slice, rows sorted by
+// in-degree within σ-row windows.
+struct SlicedTranspose {
+  std::vector<uint64_t> ptr;     // first entry of each slice; slices + 1
+  std::vector<uint32_t> rows;    // pk::kSliceRows rows per slice
+  std::vector<uint32_t> cols;    // source row per entry (0 for padding)
+  std::vector<double> vals;      // T value per entry (0.0 for padding)
+  std::vector<uint32_t> window;  // first slice of each σ window; windows + 1
+
+  pk::SlicedView view() const {
+    return {ptr.data(), rows.data(), cols.data(), vals.data(), window.data()};
+  }
 };
 
 // CSR matrix over entity rows.
@@ -106,52 +152,36 @@ class TransitionMatrix {
                          const std::vector<char>& touched,
                          uint32_t old_tag_base, uint32_t n_new_fragments);
 
-  // out = in · T  (one exploration step). `out` is overwritten.
+  // out = in · T  (one exploration step) over a single-seeker
+  // frontier, push-style. `out` is overwritten; `out.nonzero` comes out
+  // in first-touch order.
   void Propagate(const Frontier& in, Frontier& out) const;
 
-  // Same product, computed pull-style over the stored transpose and
-  // parallelized across output rows. Worth it once the frontier is
-  // dense (it saturates the reachable graph after a few steps); the
-  // push form wins on sparse frontiers.
-  void PropagateParallel(const Frontier& in, Frontier& out,
-                         ThreadPool& pool) const;
-
-  // Adaptive step: measures the frontier's density — the matrix
-  // nonzeros a push step would actually touch, via row_ptr — and picks
-  // push (sparse scatter) or pull (dense sequential gather over the
-  // transpose, parallelized when `pool` is non-null) accordingly.
-  // `in.nonzero` is expected sorted ascending (for sequential CSR
-  // access); `out.nonzero` is always left sorted, so chaining
-  // PropagateAdaptive steps maintains the invariant.
-  void PropagateAdaptive(const Frontier& in, Frontier& out,
-                         ThreadPool* pool) const;
-
-  // Batched multi-seeker step: out = in · T on every lane at once —
-  // one CSR walk streams all lanes through the shared kernels
-  // (propagate_kernels.h; AVX2-dispatched when built in). Same push /
-  // pull density adaptation as PropagateAdaptive, measured on the
-  // union support. Each lane's values are bit-for-bit what a
-  // single-seeker PropagateAdaptive chain would produce for that lane
-  // alone: the lane dimension is element-wise, and push and pull both
-  // accumulate per output row in ascending source-row order.
-  // `out.nonzero` is left sorted and holds exactly the rows with some
-  // nonzero lane; `out.lane_mass` flags per-lane survival.
-  //
-  // `pull_rows`, when non-null, restricts the pull (dense) step to that
-  // sorted-ascending row list — the caller guarantees every row whose
-  // gather could be nonzero is in the list (e.g. all rows of the
-  // seeker's reach component: mass seeded there can never leave it, so
-  // skipped rows always gather exactly 0.0 and bit-for-bit equality
-  // with the unrestricted step holds). The push step ignores it (push
-  // only writes rows the frontier's mass actually reaches) and the
-  // density crossover is scaled to the restricted pull cost.
-  // `used_pull`, when non-null, reports which side of the crossover
-  // ran (true = pull/dense) — observability only, the verdict itself
-  // is unchanged.
+  // Batched multi-seeker step: out = in · T on every lane at once. It
+  // measures the union frontier's density — the CSR entries a push
+  // step would touch — against the size of the sliced transpose and
+  // runs the cheaper side: a push (PropagateBatchPush) or a full pull
+  // sweep (PropagateBatchPull, over slice ranges on `pool` when
+  // non-null). Each lane's values are bit-for-bit what a single-seeker
+  // push chain (Propagate) would produce for that lane alone: the lane
+  // dimension is element-wise, and push and pull both accumulate per
+  // output row in ascending source-row order. `in.nonzero` must be
+  // sorted ascending; `out.nonzero` is left sorted and holds exactly
+  // the rows with some nonzero lane; `out.lane_mass` flags per-lane
+  // survival. `used_pull`, when non-null, reports which side ran
+  // (observability only).
   void PropagateBatchAdaptive(const BatchFrontier& in, BatchFrontier& out,
                               ThreadPool* pool,
-                              const std::vector<uint32_t>* pull_rows = nullptr,
                               bool* used_pull = nullptr) const;
+
+  // The two halves of PropagateBatchAdaptive, with the same contract;
+  // public so tests and benches can pin each side. Push scatters the
+  // CSR rows of `in.nonzero` (one kernel call per sweep); pull gathers
+  // every row through the sliced transpose (one kernel call per sweep,
+  // or per σ-aligned slice range on `pool`).
+  void PropagateBatchPush(const BatchFrontier& in, BatchFrontier& out) const;
+  void PropagateBatchPull(const BatchFrontier& in, BatchFrontier& out,
+                          ThreadPool* pool) const;
 
   // Normalization denominator D(n) for the row of entity `n` (0 if the
   // neighborhood has no outgoing edge).
@@ -163,14 +193,18 @@ class TransitionMatrix {
   size_t rows() const { return row_ptr_.empty() ? 0 : row_ptr_.size() - 1; }
   size_t nonzeros() const { return cols_.size(); }
 
+  // The sliced transpose the pull step sweeps (for tests).
+  const SlicedTranspose& sliced() const { return sliced_; }
+
   // Entries of one row as (column, value) pairs — for tests and for the
   // naive reference implementation.
   std::vector<std::pair<uint32_t, double>> Row(uint32_t row) const;
 
   // ---- snapshot (de)serialization hooks --------------------------------
 
-  // Raw CSR views for the binary snapshot writer. The transpose is not
-  // exposed: it is a pure function of the CSR and is rebuilt on Adopt.
+  // Raw CSR views for the binary snapshot writer. The sliced transpose
+  // is not serialized: it is a pure function of the CSR and is rebuilt
+  // on Adopt.
   // Each array may be heap-owned (Build/IncrementalUpdate output, v1
   // loads) or a view into an mmap'd snapshot section (v2 attach).
   const StorageSpan<uint64_t>& row_ptr() const { return row_ptr_; }
@@ -179,11 +213,12 @@ class TransitionMatrix {
   const StorageSpan<double>& denominators() const { return denom_; }
 
   // Binary-load path: adopts a deserialized CSR wholesale — shape
-  // validation only (monotone row_ptr, in-range strictly-ascending
-  // columns per row, matching array sizes); the float values are
-  // covered by the snapshot's checksum framing — and rebuilds the
-  // transpose (always heap-owned, even when the CSR arrays are views).
-  // `n_rows` is the entity-row count the matrix must cover.
+  // validation only (row count within kMaxMatrixRows, monotone
+  // row_ptr, in-range strictly-ascending columns per row, matching
+  // array sizes); the float values are covered by the snapshot's
+  // checksum framing — and rebuilds the sliced transpose (always
+  // heap-owned, even when the CSR arrays are views). `n_rows` is the
+  // entity-row count the matrix must cover.
   Status Adopt(StorageSpan<uint64_t> row_ptr, StorageSpan<uint32_t> cols,
                StorageSpan<double> vals, StorageSpan<double> denom,
                size_t n_rows);
@@ -207,25 +242,17 @@ class TransitionMatrix {
       std::unordered_map<uint32_t, double>& row_acc,
       std::vector<std::pair<uint32_t, double>>& sorted_row);
 
-  // Rebuilds the transpose arrays from row_ptr_/cols_/vals_.
-  void BuildTranspose();
-
-  // Push (sparse scatter) / pull (dense gather) halves of
-  // PropagateBatchAdaptive.
-  void PropagateBatchPush(const BatchFrontier& in, BatchFrontier& out) const;
-  void PropagateBatchPull(const BatchFrontier& in, BatchFrontier& out,
-                          ThreadPool* pool,
-                          const std::vector<uint32_t>* pull_rows) const;
+  // Rebuilds sliced_ from row_ptr_/cols_/vals_.
+  void BuildSlicedTranspose();
 
   StorageSpan<uint64_t> row_ptr_;
   StorageSpan<uint32_t> cols_;
   StorageSpan<double> vals_;
   StorageSpan<double> denom_;
-  // Transpose (in-edges per row), for the pull-based parallel product.
-  // Always heap-owned: it is rebuilt from the CSR on every adopt.
-  std::vector<uint64_t> t_row_ptr_;
-  std::vector<uint32_t> t_cols_;
-  std::vector<double> t_vals_;
+  // T's transpose in the SELL-4-σ layout of propagate_kernels.h, for
+  // the pull step. Always heap-owned: it is rebuilt from the CSR on
+  // every Build, IncrementalUpdate and Adopt.
+  SlicedTranspose sliced_;
 };
 
 }  // namespace s3::social

@@ -6,7 +6,9 @@
 // generated microblog workloads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "core/bound_engine.h"
 #include "core/naive_reference.h"
@@ -82,13 +84,13 @@ size_t CheckIncrementalAgainstScratch(const S3Instance& inst,
   all_prox[seeker_row] = c_gamma;
   engine.ApplyDelta(seeker_row, c_gamma);
 
-  social::Frontier frontier, next;
-  frontier.Init(total_rows);
-  next.Init(total_rows);
-  frontier.Set(seeker_row, 1.0);
+  social::BatchFrontier frontier, next;
+  frontier.Init(total_rows, 1);
+  next.Init(total_rows, 1);
+  frontier.Set(seeker_row, 0, 1.0);
 
   for (size_t n = 1; n <= iters; ++n) {
-    inst.matrix().PropagateAdaptive(frontier, next, nullptr);
+    inst.matrix().PropagateBatchAdaptive(frontier, next, nullptr);
     std::swap(frontier, next);
     if (frontier.nonzero.empty()) break;
     const double factor = c_gamma * std::pow(gamma, -double(n));
@@ -179,7 +181,7 @@ TEST(BoundEngineInvariantTest, IncrementalEqualsScratchOnMicroblog) {
 
 // ---- Adaptive propagation ---------------------------------------------------
 
-TEST(PropagateAdaptiveTest, MatchesPushPropagation) {
+TEST(PropagateBatchAdaptiveTest, OneLaneMatchesPushPropagation) {
   workload::MicroblogParams p;
   p.seed = 7;
   p.n_users = 120;
@@ -189,28 +191,37 @@ TEST(PropagateAdaptiveTest, MatchesPushPropagation) {
   const auto& inst = *gen.instance;
   const auto& m = inst.matrix();
 
-  social::Frontier fa, ga, fp, gp;
+  social::BatchFrontier fa, ga;
+  social::Frontier fp, gp;
   const uint32_t total = inst.layout().total();
-  fa.Init(total);
-  ga.Init(total);
+  fa.Init(total, 1);
+  ga.Init(total, 1);
   fp.Init(total);
   gp.Init(total);
-  fa.Set(inst.RowOfUser(1), 1.0);
+  fa.Set(inst.RowOfUser(1), 0, 1.0);
   fp.Set(inst.RowOfUser(1), 1.0);
 
-  // Sparse first steps and dense later steps must agree with the plain
-  // push implementation; adaptive output is additionally sorted.
+  // Sparse first steps (push) and dense later steps (pull) must agree
+  // bit-for-bit with the plain push implementation; adaptive output is
+  // additionally sorted.
+  bool saw_push = false, saw_pull = false;
   for (size_t step = 0; step < 6; ++step) {
-    m.PropagateAdaptive(fa, ga, nullptr);
+    bool used_pull = false;
+    m.PropagateBatchAdaptive(fa, ga, nullptr, &used_pull);
+    (used_pull ? saw_pull : saw_push) = true;
     std::swap(fa, ga);
     m.Propagate(fp, gp);
     std::swap(fp, gp);
+    // Ascending source order on the next step, as the batched step.
+    std::sort(fp.nonzero.begin(), fp.nonzero.end());
     ASSERT_EQ(fa.nonzero.size(), fp.nonzero.size()) << "step " << step;
     EXPECT_TRUE(std::is_sorted(fa.nonzero.begin(), fa.nonzero.end()));
-    for (uint32_t row : fp.nonzero) {
-      EXPECT_NEAR(fa.values[row], fp.values[row], 1e-12) << "row " << row;
-    }
+    ASSERT_EQ(0, std::memcmp(fa.values.data(), fp.values.data(),
+                             total * sizeof(double)))
+        << "step " << step;
   }
+  EXPECT_TRUE(saw_push);
+  EXPECT_TRUE(saw_pull);
 }
 
 // ---- End-to-end: incremental search equals the naive reference ---------------

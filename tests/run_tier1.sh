@@ -35,7 +35,7 @@ if [[ "${1:-}" == "--ctest" ]]; then
     exit 1
   fi
   "${build_dir}/bench_micro" --benchmark_min_time=0.01 \
-    --benchmark_filter='BM_(MatrixPropagate|PorterStem)' \
+    --benchmark_filter='BM_(PropagateStep|PorterStem)' \
     --benchmark_out="${build_dir}/BENCH_smoke.json" \
     --benchmark_out_format=json
   exit 0

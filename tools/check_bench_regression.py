@@ -40,6 +40,15 @@ rewritten file.
     tools/check_bench_regression.py --fresh build/BENCH_micro.json \
         --update-baselines
 
+Records carry the CPU count they were measured on: the file's
+"context" block ("nproc" from BenchJsonWriter, "num_cpus" from
+google-benchmark), or a per-record "nproc" where a merged file holds
+records from another run. A record whose CPU count differs from its
+baseline's — or is unknown on either side, as in baselines written
+before the context block existed — is reported as incomparable and
+not compared; --update-baselines keeps that stamp on the records it
+carries over.
+
 Baselines are machine-relative: numbers from a different host class
 shift uniformly and the ratio check absorbs part of that, but for a
 trustworthy CI comparison the baseline should be refreshed from the
@@ -60,10 +69,18 @@ DEFAULT_BASELINE = os.path.join(REPO_ROOT, "bench", "baselines",
                                 "BENCH_micro.json")
 
 
+def context_cpus(doc):
+    """CPU count in a BENCH json's context block (None when absent)."""
+    ctx = doc.get("context") or {}
+    return ctx.get("nproc", ctx.get("num_cpus"))
+
+
 def load_ns_per_op(path):
-    """Returns {benchmark name: ns/op} from either supported format."""
+    """Returns {benchmark name: (ns/op, CPU count or None)} from either
+    supported format."""
     with open(path) as f:
         doc = json.load(f)
+    file_cpus = context_cpus(doc)
     out = {}
     for record in doc.get("benchmarks", []):
         name = record.get("name")
@@ -74,13 +91,14 @@ def load_ns_per_op(path):
         # compare only the plain iteration rows.
         if record.get("run_type", "iteration") != "iteration":
             continue
+        cpus = record["nproc"] if "nproc" in record else file_cpus
         if "ns_per_op" in record:  # BenchJsonWriter format
-            out[name] = float(record["ns_per_op"])
+            out[name] = (float(record["ns_per_op"]), cpus)
         elif "real_time" in record:  # google-benchmark format
             unit = _UNIT_TO_NS.get(record.get("time_unit", "ns"))
             if unit is None:
                 continue
-            out[name] = float(record["real_time"]) * unit
+            out[name] = (float(record["real_time"]) * unit, cpus)
     return out
 
 
@@ -91,32 +109,52 @@ def format_ns(ns):
     return "%.0fns" % ns
 
 
-def load_records(path):
-    """Returns the raw record list of a BENCH json ([] when absent)."""
+def load_doc(path):
+    """Returns a BENCH json document ({} when absent)."""
     if not os.path.exists(path):
-        return []
+        return {}
     with open(path) as f:
-        doc = json.load(f)
+        return json.load(f)
+
+
+def records_of(doc):
     return [r for r in doc.get("benchmarks", []) if r.get("name")]
 
 
 def update_baselines(baseline_path, fresh_path):
-    """Rewrites `baseline_path` from `fresh_path` (fresh names win)."""
+    """Rewrites `baseline_path` from `fresh_path` (fresh names win).
+
+    The fresh run's context becomes the file's; a carried-over baseline
+    record measured on another (or an unknown) CPU count keeps its own
+    as a per-record "nproc"."""
     if not os.path.exists(fresh_path):
         print("ERROR: no fresh output at %s" % fresh_path)
         return 1
-    fresh = load_records(fresh_path)
+    fresh_doc = load_doc(fresh_path)
+    fresh = records_of(fresh_doc)
     if not fresh:
         print("ERROR: %s holds no benchmark records" % fresh_path)
         return 1
+    fresh_cpus = context_cpus(fresh_doc)
     fresh_names = {r["name"] for r in fresh}
-    kept = [r for r in load_records(baseline_path)
-            if r["name"] not in fresh_names]
-    merged = fresh + kept
+    base_doc = load_doc(baseline_path)
+    base_cpus = context_cpus(base_doc)
+    kept = []
+    for r in records_of(base_doc):
+        if r["name"] in fresh_names:
+            continue
+        if "nproc" not in r and (base_cpus is None or
+                                 base_cpus != fresh_cpus):
+            r = dict(r, nproc=base_cpus)
+        kept.append(r)
+    merged = {}
+    if "context" in fresh_doc:
+        merged["context"] = fresh_doc["context"]
+    merged["benchmarks"] = fresh + kept
     os.makedirs(os.path.dirname(os.path.abspath(baseline_path)),
                 exist_ok=True)
     with open(baseline_path, "w") as f:
-        json.dump({"benchmarks": merged}, f, indent=2)
+        json.dump(merged, f, indent=2)
         f.write("\n")
     print("rewrote %s: %d record(s) from %s, %d kept from the old "
           "baseline" % (baseline_path, len(fresh), fresh_path, len(kept)))
@@ -169,7 +207,22 @@ def main():
     baseline = load_ns_per_op(args.baseline)
     fresh = load_ns_per_op(args.fresh)
 
-    common = sorted(set(baseline) & set(fresh))
+    shared = sorted(set(baseline) & set(fresh))
+    incomparable = [n for n in shared
+                    if baseline[n][1] is None or
+                    baseline[n][1] != fresh[n][1]]
+    common = [n for n in shared if n not in incomparable]
+    if incomparable:
+        print("incomparable, CPU count differs from the baseline's "
+              "(%d):" % len(incomparable))
+        for name in incomparable:
+            print("  %s: baseline %s CPUs, fresh %s CPUs"
+                  % (name, baseline[name][1] or "unknown",
+                     fresh[name][1] or "unknown"))
+        if not common:
+            print("OK: nothing comparable (refresh the baseline on this "
+                  "machine class with --update-baselines)")
+            return 0
     if not common:
         if args.allow_disjoint:
             # Disjoint record sets (e.g. only one contributing binary
@@ -185,6 +238,8 @@ def main():
     width = max(len(n) for n in common)
     print("%-*s %10s %10s %8s" % (width, "benchmark", "baseline", "fresh",
                                   "ratio"))
+    baseline = {n: ns for n, (ns, _) in baseline.items()}
+    fresh = {n: ns for n, (ns, _) in fresh.items()}
     for name in common:
         ratio = fresh[name] / baseline[name] if baseline[name] > 0 else 1.0
         flag = ""
