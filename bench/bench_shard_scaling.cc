@@ -18,6 +18,7 @@
 //   S3_BENCH_SCALE     instance scale multiplier (default 1.0)
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -175,37 +176,39 @@ int main() {
     json.Add("shard_scaling/shards:" + std::to_string(n_shards),
              r.seconds * 1e9 / trace.size(), extra);
 
-    // Scatter profile: a slice of the trace through QueryGlobal, with
-    // the per-shard load signals (ShardReport::scatter_seconds /
-    // queue_depth) the router now exports — the raw input a future
-    // load-aware scatter policy would steer by (ROADMAP item 3).
-    const size_t scatter_n = std::min<size_t>(trace.size(), 128);
+    // Routing profile: a slice of the trace through QueryGlobal, which
+    // asks the seeker's home shard alone. Per-shard served counts and
+    // their max/min ratio are the balance evidence for home routing;
+    // the load signals (ShardReport::scatter_seconds / queue_depth)
+    // are the input a load-aware replica choice would steer by.
+    const size_t profile_n = std::min<size_t>(trace.size(), 128);
     std::vector<double> shard_lat(n_shards, 0.0);
-    std::vector<size_t> shard_hits(n_shards, 0);
+    std::vector<size_t> shard_served(n_shards, 0);
     std::vector<size_t> shard_qd_max(n_shards, 0);
-    size_t pruned = 0;
-    for (size_t i = 0; i < scatter_n; ++i) {
+    for (size_t i = 0; i < profile_n; ++i) {
       auto resp = (*router)->QueryGlobal(trace[i]);
       if (!resp.ok()) continue;
       for (const shard::ShardReport& rep : resp->shards) {
-        if (!rep.queried) {
-          pruned += (rep.pruned_unreachable || rep.pruned_bound) ? 1 : 0;
-          continue;
-        }
+        if (!rep.queried) continue;
         shard_lat[rep.shard] += rep.scatter_seconds;
-        shard_hits[rep.shard] += 1;
+        shard_served[rep.shard] += 1;
         shard_qd_max[rep.shard] =
             std::max(shard_qd_max[rep.shard], rep.queue_depth);
       }
     }
-    std::printf("scatter profile (%zu global queries, %zu shard-prunes):\n",
-                scatter_n, pruned);
+    const auto [min_served, max_served] =
+        std::minmax_element(shard_served.begin(), shard_served.end());
+    std::printf("routing profile (%zu global queries, served max/min %.2f):\n",
+                profile_n,
+                *min_served > 0 ? static_cast<double>(*max_served) /
+                                      static_cast<double>(*min_served)
+                                : std::numeric_limits<double>::infinity());
     for (uint32_t sh = 0; sh < n_shards; ++sh) {
-      const double mean_ms = shard_hits[sh] > 0
-                                 ? shard_lat[sh] / shard_hits[sh] * 1e3
+      const double mean_ms = shard_served[sh] > 0
+                                 ? shard_lat[sh] / shard_served[sh] * 1e3
                                  : 0.0;
-      std::printf("  shard%u: queried=%zu mean=%.3fms queue_depth_max=%zu\n",
-                  sh, shard_hits[sh], mean_ms, shard_qd_max[sh]);
+      std::printf("  shard%u: served=%zu mean=%.3fms queue_depth_max=%zu\n",
+                  sh, shard_served[sh], mean_ms, shard_qd_max[sh]);
     }
   }
   std::printf("\n%s\n", table.Render().c_str());
@@ -215,8 +218,7 @@ int main() {
       "service modulo one id-map hop.\n");
 
   // Router + per-shard-service metric catalog (s3_scatter_shard_seconds,
-  // s3_shards_pruned_total, per-shard {service="shardN"} series) for
-  // the CI metrics diff.
+  // per-shard {service="shardN"} series) for the CI metrics diff.
   const std::string prom = obs::MetricRegistry::Default().RenderPrometheus();
   if (!prom.empty()) {
     if (std::FILE* f = std::fopen("BENCH_shard_metrics.prom", "w")) {

@@ -1,7 +1,8 @@
 // Sharded serving end-to-end: build a small two-community population,
-// split it into 2 shards, route queries, scatter-gather one, and push
-// a live update through the router — the whole src/shard surface in
-// one page. See src/server/SHARDING.md for the correctness argument.
+// split it into 2 shards, route queries to the seekers' home shards,
+// and push a live update through the router — the whole src/shard
+// surface in one page. See src/server/SHARDING.md for why the home
+// shard alone answers exactly.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -61,25 +62,25 @@ int main() {
                 e.upper);
   }
 
-  // Scatter-gather: same answer, with per-shard pruning visible and a
-  // global certificate folded from every shard's bound exports.
+  // QueryGlobal is the same call: the home shard answers alone, and
+  // its certificate is the single instance's.
   auto global = (*router)->QueryGlobal(q);
   if (!global.ok()) return 1;
-  std::printf("scatter-gather: %zu shards queried, %zu pruned, "
+  std::printf("global query: %zu shards queried, %zu not asked, "
               "certified eps=%.2e\n",
               global->shards_queried, global->shards_pruned,
               global->certified_epsilon);
 
   // Per-request options flow through the router verbatim: a certified
-  // anytime request may stop each shard's search early, and the merge
-  // reports the achieved global certificate.
+  // anytime request may stop the home shard's search early, and the
+  // response reports the achieved certificate.
   core::QueryOptions anytime;
   anytime.mode = core::QueryMode::kAnytime;
   anytime.epsilon_approx = 0.1;
   auto approx =
       (*router)->QueryGlobal(core::QueryRequest(0, {coffee}, anytime));
   if (!approx.ok()) return 1;
-  std::printf("anytime scatter-gather (eps<=0.1): %zu results, "
+  std::printf("anytime query (eps<=0.1): %zu results, "
               "achieved eps=%.2e\n",
               approx->entries.size(), approx->certified_epsilon);
 

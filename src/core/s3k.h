@@ -155,9 +155,9 @@ struct CandidatePlan {
   // `passing`): the per-shard / per-seeker score-bound export. A
   // component whose root differs from the seeker's can never be
   // discovered (no social path exists), so its cap is excluded from
-  // the termination threshold — and a shard whose components all have
-  // foreign roots reports a zero upper bound to the scatter-gather
-  // merge without running the query.
+  // the termination threshold — which keeps the threshold, and so the
+  // iteration count, equal on every shard that materializes the
+  // seeker's group.
   std::vector<uint32_t> comp_reach_root;
   size_t extension_keywords = 0;  // Σ |Ext(k)| over query keywords
 

@@ -498,6 +498,21 @@ Status ReadSocial(ByteReader& r, const Meta& /*meta*/,
   return Status::OK();
 }
 
+// An edge endpoint lies inside the population META declares. Checked
+// before EdgeStore::Add, which sizes its adjacency spine by the index;
+// the full consistency check runs later, in S3Instance::FromPopulation.
+bool EndpointInRange(social::EntityId e, const Meta& meta) {
+  switch (e.kind()) {
+    case social::EntityKind::kUser:
+      return e.index() < meta.n_users;
+    case social::EntityKind::kFragment:
+      return e.index() < meta.n_nodes;
+    case social::EntityKind::kTag:
+      return e.index() < meta.n_tags;
+  }
+  return false;
+}
+
 Status ReadEdges(ByteReader& r, const Meta& meta,
                  social::EdgeStore& edges) {
   const uint64_t n = r.U64();
@@ -515,6 +530,10 @@ Status ReadEdges(ByteReader& r, const Meta& meta,
     if (!social::EntityId::ValidKind(source) ||
         !social::EntityId::ValidKind(target)) {
       return SectionError(kEdges, "bad edge endpoint kind");
+    }
+    if (!EndpointInRange(social::EntityId::FromPacked(source), meta) ||
+        !EndpointInRange(social::EntityId::FromPacked(target), meta)) {
+      return SectionError(kEdges, "edge endpoint out of range");
     }
     if (!(weight > 0.0 && weight <= 1.0)) {
       return SectionError(kEdges, "edge weight outside (0,1]");
@@ -1383,6 +1402,9 @@ Status ReadEdgesV2(ByteReader& r, const Meta& meta,
     }
     if (!(e.weight > 0.0 && e.weight <= 1.0)) {
       return SectionErrorV2(kEdges, "edge weight outside (0,1]");
+    }
+    if (!EndpointInRange(e.source, meta) || !EndpointInRange(e.target, meta)) {
+      return SectionErrorV2(kEdges, "edge endpoint out of range");
     }
     edges.Add(e.source, e.target, e.label, e.weight);
     prev = e;

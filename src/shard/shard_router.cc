@@ -1,7 +1,6 @@
 #include "shard/shard_router.h"
 
 #include <algorithm>
-#include <limits>
 #include <thread>
 
 #include "common/file_io.h"
@@ -386,19 +385,6 @@ void ShardRouter::RegisterMetrics() {
         "(admission to completion inside the shard's QueryService)",
         {{"shard", std::to_string(s)}});
   }
-  c_pruned_unreachable_ = reg.GetCounter(
-      "s3_shards_pruned_total",
-      "Shards skipped during scatter, by prune reason",
-      {{"reason", "unreachable"}});
-  c_pruned_bound_ = reg.GetCounter(
-      "s3_shards_pruned_total",
-      "Shards skipped during scatter, by prune reason",
-      {{"reason", "bound"}});
-  c_merge_dedup_ = reg.GetCounter(
-      "s3_merge_dedup_total",
-      "Result entries dropped by the scatter merge as duplicates of an "
-      "already-merged global node (replicated groups answer identically)",
-      {});
 }
 
 ShardRouter::~ShardRouter() = default;
@@ -407,10 +393,6 @@ ShardRouter::~ShardRouter() = default;
 
 uint32_t ShardRouter::HomeShardOfUser(social::UserId u) const {
   return home_[u];
-}
-
-uint64_t ShardRouter::MaskOfRoot(uint32_t root) const {
-  return root_mask_[root];
 }
 
 uint64_t ShardRouter::doc_count() const {
@@ -433,25 +415,13 @@ std::vector<uint64_t> ShardRouter::Generations() const {
 }
 
 Result<ShardedResponse> ShardRouter::Query(const core::QueryRequest& query) {
-  return QueryShards(query, /*scatter=*/false);
-}
-
-Result<ShardedResponse> ShardRouter::QueryGlobal(
-    const core::QueryRequest& query) {
-  return QueryShards(query, /*scatter=*/true);
-}
-
-Result<ShardedResponse> ShardRouter::QueryShards(
-    const core::QueryRequest& query, bool scatter) {
   if (query.seeker >= n_users_) {
     return Status::InvalidArgument("unknown seeker");
   }
   uint32_t home;
-  uint64_t mask;
   {
     std::shared_lock<std::shared_mutex> lock(state_mu_);
     home = home_[query.seeker];
-    mask = MaskOfRoot(RootOf(query.seeker));
   }
 
   const uint32_t n_shards = shard_count();
@@ -459,177 +429,64 @@ Result<ShardedResponse> ShardRouter::QueryShards(
   resp.shards.resize(n_shards);
   for (uint32_t s = 0; s < n_shards; ++s) resp.shards[s].shard = s;
 
-  // Fan out through the shards' own worker pools. The home shard is
-  // always targeted; a scatter additionally targets every shard
-  // materializing the seeker's group. Shards outside the mask hold no
-  // social path from the seeker — their best possible score is exactly
-  // 0 — so they are pruned before the fan-out (static bound).
-  std::vector<std::pair<uint32_t, server::QueryFuture>> futures;
-  for (uint32_t s = 0; s < n_shards; ++s) {
-    const bool targeted = scatter ? ((mask >> s) & 1) != 0 : s == home;
-    if (!targeted) {
-      if (scatter) {
-        resp.shards[s].pruned_unreachable = true;
-        ++resp.shards_pruned;
-        if (c_pruned_unreachable_ != nullptr) c_pruned_unreachable_->Inc();
-      }
-      continue;
-    }
-    // Load signal: how deep the shard's admission queue already was
-    // when this query targeted it (sampled just before submit).
-    resp.shards[s].queue_depth = shards_[s].service->queue_depth();
-    auto submitted = shards_[s].service->SubmitBlocking(query);
-    if (!submitted.ok()) return submitted.status();
-    futures.emplace_back(s, std::move(*submitted));
+  // The home shard materializes the seeker's whole reach group, and a
+  // score is social proximity from the seeker, which never leaves that
+  // group: the home shard alone answers what the single instance does,
+  // bit for bit (SHARDING.md, "Why one replica answers exactly"). No
+  // other shard is asked.
+  ShardReport& report = resp.shards[home];
+  // Load signal: how deep the shard's admission queue already was
+  // when this query reached it (sampled just before submit).
+  report.queue_depth = shards_[home].service->queue_depth();
+  auto submitted = shards_[home].service->SubmitBlocking(query);
+  if (!submitted.ok()) return submitted.status();
+  auto response = submitted->get();
+  if (!response.ok()) return response.status();
+
+  report.queried = true;
+  report.generation = response->generation;
+  report.cache_hit = response->cache_hit;
+  // Bound exports. These are always post-search values: QueryService
+  // fills stats from the SearchWithPlan/SearchBatchWithPlan call that
+  // answered *this* request — the plan cache holds seeker-independent
+  // plans only, never stats — so a cache-hit answer exports exactly
+  // what the cold one did (pinned by AnytimeShardTest.CacheHitExports...).
+  report.kth_lower = response->stats.kth_lower;
+  report.remaining_upper = response->stats.remaining_upper;
+  report.certified_epsilon = response->certified_epsilon;
+  report.deadline_exceeded = response->deadline_exceeded;
+  report.entries = response->entries.size();
+  report.scatter_seconds = response->total_seconds;
+  if (home < h_scatter_.size() && h_scatter_[home] != nullptr) {
+    h_scatter_[home]->Observe(response->total_seconds);
   }
+  resp.shards_queried = 1;
+  resp.shards_pruned = n_shards - 1;
+  resp.stats = response->stats;
+  resp.cache_hit = response->cache_hit;
+  resp.kth_lower = report.kth_lower;
+  resp.remaining_upper = report.remaining_upper;
+  resp.certified_epsilon = report.certified_epsilon;
+  resp.deadline_exceeded = report.deadline_exceeded;
 
-  std::vector<std::pair<uint32_t, server::QueryResponse>> streams;
-  streams.reserve(futures.size());
-  for (auto& [s, future] : futures) {
-    auto response = future.get();
-    if (!response.ok()) return response.status();
-    resp.shards[s].queried = true;
-    resp.shards[s].generation = response->generation;
-    resp.shards[s].cache_hit = response->cache_hit;
-    // Bound exports for the merge and the global certificate. These
-    // are always post-search values: QueryService fills stats from the
-    // SearchWithPlan/SearchBatchWithPlan call that answered *this*
-    // request — the plan cache holds seeker-independent plans only,
-    // never stats — so a cache-hit answer exports exactly what the
-    // cold one did (pinned by AnytimeShardTest.CacheHitExports...).
-    resp.shards[s].kth_lower = response->stats.kth_lower;
-    resp.shards[s].remaining_upper = response->stats.remaining_upper;
-    resp.shards[s].certified_epsilon = response->certified_epsilon;
-    resp.shards[s].deadline_exceeded = response->deadline_exceeded;
-    // A deadline-expired shard degrades the global certificate (its
-    // remaining_upper export is looser) instead of failing the query.
-    resp.deadline_exceeded =
-        resp.deadline_exceeded || response->deadline_exceeded;
-    resp.shards[s].entries = response->entries.size();
-    resp.shards[s].scatter_seconds = response->total_seconds;
-    if (s < h_scatter_.size() && h_scatter_[s] != nullptr) {
-      h_scatter_[s]->Observe(response->total_seconds);
-    }
-    ++resp.shards_queried;
-    if (s == home) {
-      resp.stats = response->stats;
-      resp.cache_hit = response->cache_hit;
-    }
-    streams.emplace_back(s, std::move(*response));
-  }
-
-  // Bound-aware k-heap merge. Streams are processed best-first; once k
-  // entries are held, a stream whose best possible score (its top
-  // entry's upper, or its remaining-upper export when it returned
-  // nothing) is below the merged k-th lower bound cannot contribute
-  // and is dropped unread. Duplicates (replicated groups answer
-  // identically) dedup by global node id.
-  auto best_upper = [](const server::QueryResponse& r) {
-    double best = r.stats.remaining_upper;
-    if (!r.entries.empty()) best = std::max(best, r.entries.front().upper);
-    return best;
-  };
-  std::sort(streams.begin(), streams.end(),
-            [&](const auto& a, const auto& b) {
-              const double ba = best_upper(a.second);
-              const double bb = best_upper(b.second);
-              if (ba != bb) return ba > bb;
-              return a.first < b.first;
-            });
-
-  // Per-request k (QueryOptions::k == 0 inherits the service default),
-  // matching what every shard's QueryService resolved for its lanes.
-  const size_t k = query.options.k > 0 ? query.options.k
-                                       : options_.service.search.k;
-  std::vector<core::ResultEntry> merged;
+  // Local -> global node ids. ShardMap is order-preserving, so the
+  // shard's (upper desc, node asc) order is the global order.
+  resp.entries.reserve(response->entries.size());
   {
     std::shared_lock<std::shared_mutex> lock(state_mu_);
-    double kth_lower = 0.0;
-    for (auto& [s, response] : streams) {
-      if (merged.size() >= k && best_upper(response) < kth_lower) {
-        resp.shards[s].pruned_bound = true;
-        ++resp.shards_pruned;
-        if (c_pruned_bound_ != nullptr) c_pruned_bound_->Inc();
-        continue;
-      }
-      for (const core::ResultEntry& e : response.entries) {
-        auto mapped = shards_[s].map.GlobalNode(e.node);
-        if (!mapped.ok()) return mapped.status();
-        const doc::NodeId global = *mapped;
-        bool duplicate = false;
-        for (const core::ResultEntry& have : merged) {
-          if (have.node == global) { duplicate = true; break; }
-        }
-        if (duplicate) {
-          if (c_merge_dedup_ != nullptr) c_merge_dedup_->Inc();
-        } else {
-          merged.push_back(core::ResultEntry{global, e.lower, e.upper});
-        }
-      }
-      std::sort(merged.begin(), merged.end(),
-                [](const core::ResultEntry& a, const core::ResultEntry& b) {
-                  if (a.upper != b.upper) return a.upper > b.upper;
-                  return a.node < b.node;
-                });
-      if (merged.size() > k) merged.resize(k);
-      kth_lower = merged.empty() ? 0.0 : merged.front().lower;
-      for (const core::ResultEntry& e : merged) {
-        kth_lower = std::min(kth_lower, e.lower);
-      }
-    }
-
-    // Global certificate: bound every document NOT in the merged
-    // top-k. Three sources, all per-shard exports of *this* query's
-    // searches: (a) each queried stream's remaining_upper (documents
-    // its shard never returned), (b) the best possible score of a
-    // bound-pruned stream (read unseen, so its whole stream is
-    // "remaining"), and (c) the uppers of returned entries that lost
-    // the merge. Unreachable-pruned shards contribute exactly 0 by the
-    // static reach argument. A deadline-truncated shard simply exports
-    // a looser remaining_upper, degrading certified_epsilon here
-    // rather than failing the query.
-    resp.kth_lower = kth_lower;
-    double global_rem = 0.0;
-    for (auto& [s, response] : streams) {
-      if (resp.shards[s].pruned_bound) {
-        global_rem = std::max(global_rem, best_upper(response));
-        continue;
-      }
-      global_rem = std::max(global_rem, response.stats.remaining_upper);
-      for (const core::ResultEntry& e : response.entries) {
-        auto mapped = shards_[s].map.GlobalNode(e.node);
-        if (!mapped.ok()) return mapped.status();
-        bool kept = false;
-        for (const core::ResultEntry& have : merged) {
-          if (have.node == *mapped) { kept = true; break; }
-        }
-        if (!kept) global_rem = std::max(global_rem, e.upper);
-      }
-    }
-    resp.remaining_upper = global_rem;
-    // Same certificate arithmetic as the engine's finish_lane: the
-    // absolute tie-break slack certifies 0 (exact merges whose kth
-    // lower bound is 0 must not report infinity off a ~1e-12 tail).
-    if (resp.remaining_upper <=
-        resp.kth_lower + options_.service.search.epsilon) {
-      resp.certified_epsilon = 0.0;
-    } else if (resp.kth_lower > 0.0) {
-      resp.certified_epsilon =
-          std::max(0.0, resp.remaining_upper / resp.kth_lower - 1.0);
-    } else {
-      resp.certified_epsilon = std::numeric_limits<double>::infinity();
+    for (const core::ResultEntry& e : response->entries) {
+      auto mapped = shards_[home].map.GlobalNode(e.node);
+      if (!mapped.ok()) return mapped.status();
+      resp.entries.push_back(core::ResultEntry{*mapped, e.lower, e.upper});
     }
   }
-  resp.entries = std::move(merged);
 
+  resp.generations.reserve(n_shards);
   for (uint32_t s = 0; s < n_shards; ++s) {
-    if (!resp.shards[s].queried) {
+    if (s != home) {
       resp.shards[s].generation =
           shards_[s].service->snapshot()->generation();
     }
-  }
-  resp.generations.reserve(n_shards);
-  for (uint32_t s = 0; s < n_shards; ++s) {
     resp.generations.push_back(resp.shards[s].generation);
   }
   return resp;

@@ -7,20 +7,14 @@
 // masks, and the per-shard local<->global id maps produced by the
 // partitioner.
 //
-// Queries. A query is seeker-scoped; the seeker's *home shard*
-// (ShardOfUser) always materializes the seeker's whole reach group, so
-//   * Query(q)        routes to the home shard — one hop, exact;
-//   * QueryGlobal(q)  scatter-gathers over every shard and merges the
-//     candidate streams with a bound-aware k-heap. Shards that do not
-//     materialize the seeker's group are pruned *before* the fan-out:
-//     no social path from the seeker exists there, so their statically
-//     reported upper bound is 0. Queried shards return score intervals
-//     plus a remaining-upper export (SearchStats::remaining_upper);
-//     a stream whose best possible score falls below the current
-//     global k-th lower bound is dropped from the merge unread.
-//     Results are deduplicated by global node id (replicated groups
-//     return identical streams) and are bit-for-bit identical to the
-//     single-instance answer.
+// Queries. A query is seeker-scoped, and the seeker's *home shard*
+// (ShardOfUser) always materializes the seeker's whole reach group.
+// An S3k score is social proximity from the seeker, which never leaves
+// that group, so the home shard alone answers bit-for-bit what the
+// single instance answers: Query(q) asks it and no other shard, and
+// maps its entries to global node ids. QueryGlobal(q) is the same
+// call, kept for callers written against the earlier scatter-gather
+// API.
 //
 // Updates. ApplyUpdate routes one GlobalUpdate — a batch of population
 // ops in *global* ids — to the shards materializing the touched
@@ -65,55 +59,53 @@ struct ShardRouterOptions {
   bool background_checkpoints = true;
 };
 
-// Per-shard outcome of one routed or scattered query. The bound
+// Per-shard outcome of one query. Only the home shard is queried; the
+// others report their current generation and nothing else. The bound
 // exports (kth_lower / remaining_upper / certified_epsilon) are always
 // the *post-search* values of the search that answered this request —
 // the plan cache stores seeker-independent plans, never stats — so a
 // cache-hit answer exports exactly what the cold answer did.
 struct ShardReport {
   uint32_t shard = 0;
-  uint64_t generation = 0;      // generation at merge time
+  uint64_t generation = 0;      // generation when the query answered
   bool queried = false;
-  bool pruned_unreachable = false;  // no social path: static 0 bound
-  bool pruned_bound = false;        // stream below the global k-th lower
+  // Never set: no query reads a shard's stream against a merged bound
+  // any more. Kept only because perfbench reads it.
+  bool pruned_bound = false;
   bool cache_hit = false;
   bool deadline_exceeded = false;   // this shard's search hit its deadline
   double kth_lower = 0.0;
   double remaining_upper = 0.0;
-  double certified_epsilon = 0.0;   // this shard's local certificate
+  double certified_epsilon = 0.0;
   size_t entries = 0;
-  // ---- load signals (ROADMAP item 3's load-aware-scatter input) ----
+  // ---- load signals (input to a later load-aware replica choice) ----
   // End-to-end latency of this shard's sub-query as the router saw it
   // (admission -> completion inside the shard's QueryService); 0 for
-  // pruned shards.
+  // shards not queried.
   double scatter_seconds = 0.0;
-  // The shard's admission-queue depth sampled at scatter submit: how
-  // loaded the shard already was when this query targeted it.
+  // The shard's admission-queue depth sampled at submit: how loaded
+  // the shard already was when this query reached it.
   size_t queue_depth = 0;
 };
 
 struct ShardedResponse {
-  // Merged top-k in *global* node ids; bit-for-bit the single-instance
-  // answer (entries, order and score intervals).
+  // Top-k in *global* node ids; bit-for-bit the single-instance answer
+  // (entries, order and score intervals).
   std::vector<core::ResultEntry> entries;
-  // Per-shard generation vector at merge time.
+  // Per-shard generation vector when the query answered.
   std::vector<uint64_t> generations;
   std::vector<ShardReport> shards;
+  // Always 1 and shard_count() - 1: the shards asked and not asked.
   size_t shards_queried = 0;
   size_t shards_pruned = 0;
-  // Search stats of the seeker's home shard (global nodes in
-  // candidate_nodes are NOT remapped; sizes/counters only).
+  // Search stats of the home shard (global nodes in candidate_nodes
+  // are NOT remapped; sizes/counters only).
   core::SearchStats stats;
   bool cache_hit = false;  // home shard's plan-cache outcome
-  // Global certificate of the merged answer, folded from the per-shard
-  // bound exports: kth_lower is the worst lower bound among the merged
-  // entries; remaining_upper bounds every document *not* merged (shard
-  // remaining-upper exports, the best possible score of bound-pruned
-  // streams, and the uppers of entries that lost the merge);
-  // certified_epsilon = max(0, remaining_upper/kth_lower - 1). A shard
-  // whose deadline expired degrades the certificate — its export is
-  // looser — instead of failing the query; deadline_exceeded reports
-  // that any queried shard was truncated.
+  // The home shard's certificate (SearchStats::kth_lower,
+  // remaining_upper and certified_epsilon), which is the single
+  // instance's. A search whose deadline expired returns a looser
+  // certificate and sets deadline_exceeded instead of failing.
   double kth_lower = 0.0;
   double remaining_upper = 0.0;
   double certified_epsilon = 0.0;
@@ -198,16 +190,16 @@ class ShardRouter {
   ShardRouter(const ShardRouter&) = delete;
   ShardRouter& operator=(const ShardRouter&) = delete;
 
-  // Seeker-routed query (one shard). Takes a QueryRequest — a bare
-  // core::Query converts to an exact request — and propagates it
-  // verbatim to the shard's QueryService, so per-request
-  // k/epsilon/deadline/mode behave exactly as on a single instance.
+  // Seeker-routed query, answered by the seeker's home shard alone.
+  // Takes a QueryRequest — a bare core::Query converts to an exact
+  // request — and propagates it verbatim to the shard's QueryService,
+  // so per-request k/epsilon/deadline/mode behave exactly as on a
+  // single instance.
   Result<ShardedResponse> Query(const core::QueryRequest& query);
-
-  // Scatter-gather with bound-aware merge; identical entries to
-  // Query(), plus per-shard reports and the *global* certificate
-  // folded from every shard's bound exports (ShardedResponse).
-  Result<ShardedResponse> QueryGlobal(const core::QueryRequest& query);
+  // The same call, kept for callers of the earlier scatter-gather API.
+  Result<ShardedResponse> QueryGlobal(const core::QueryRequest& query) {
+    return Query(query);
+  }
 
   // Starts an update batch against the current global population.
   GlobalUpdate BeginUpdate() const;
@@ -243,22 +235,17 @@ class ShardRouter {
 
   ShardRouter() = default;
 
-  // Group of a user / owning user of a global doc or tag, under
-  // state_mu_ (shared).
-  uint32_t RootOf(social::UserId u) const { return user_root_[u]; }
-  uint64_t MaskOfRoot(uint32_t root) const;
+  // Owning user of a global node, committed or pending in the update
+  // being applied.
   Result<social::UserId> OwnerOfGlobalNode(
       doc::NodeId node, const std::vector<social::UserId>& pending_doc_owner,
       const std::vector<doc::NodeId>& pending_doc_base,
       const std::vector<uint32_t>& pending_doc_nodes) const;
 
-  Result<ShardedResponse> QueryShards(const core::QueryRequest& query,
-                                      bool scatter);
-
   Status PersistShardMeta(const Shard& shard);
 
-  // Registers the router-level metric series (per-shard scatter
-  // latency histograms, prune/dedup counters) once shards_ is built.
+  // Registers the router-level metric series (per-shard sub-query
+  // latency histograms) once shards_ is built.
   // No-op under -DS3_OBS=OFF.
   void RegisterMetrics();
 
@@ -288,9 +275,6 @@ class ShardRouter {
   // latency; the per-shard QueryServices additionally publish their
   // own series under {service="shard<s>"} labels.
   std::vector<obs::Histogram*> h_scatter_;
-  obs::Counter* c_pruned_unreachable_ = nullptr;
-  obs::Counter* c_pruned_bound_ = nullptr;
-  obs::Counter* c_merge_dedup_ = nullptr;
 };
 
 }  // namespace s3::shard

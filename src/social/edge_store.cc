@@ -61,6 +61,7 @@ EdgeLabel InverseLabel(EdgeLabel label) {
 void EdgeStore::Add(EntityId source, EntityId target, EdgeLabel label,
                     double weight) {
   assert(weight > 0.0 && weight <= 1.0);
+  assert(EntityId::ValidKind(source.packed()));
   // Tail chunk: create a fresh one when full or absent; clone a
   // partially filled one another generation still shares. Chunks are
   // reserved at kChunkSize so appends never reallocate — references
@@ -79,9 +80,12 @@ void EdgeStore::Add(EntityId source, EntityId target, EdgeLabel label,
   chunks_.back()->push_back(NetEdge{source, target, label, weight});
   ++n_edges_;
 
-  // Copy-on-write: only the rows a new generation's edges touch are
-  // ever cloned.
-  AdjRow& row = MutableCow(out_[source]);
+  // Copy-on-write: only the spine chunks and rows a new generation's
+  // edges touch are ever cloned.
+  Spine& spine = out_[static_cast<size_t>(source.kind())];
+  const uint32_t c = source.index() / kRowChunk;
+  if (spine.size() <= c) spine.resize(c + 1);
+  AdjRow& row = MutableCow(MutableCow(spine[c])[source.index() % kRowChunk]);
   row.edges.push_back(idx);
   row.weight_sum += weight;
 }
@@ -92,14 +96,22 @@ void EdgeStore::AddWithInverse(EntityId source, EntityId target,
   Add(target, source, InverseLabel(label), weight);
 }
 
+const EdgeStore::AdjRow* EdgeStore::Row(EntityId e) const {
+  const size_t kind = static_cast<size_t>(e.kind());
+  if (kind >= out_.size()) return nullptr;
+  const uint32_t c = e.index() / kRowChunk;
+  if (c >= out_[kind].size() || out_[kind][c] == nullptr) return nullptr;
+  return (*out_[kind][c])[e.index() % kRowChunk].get();
+}
+
 const std::vector<uint32_t>& EdgeStore::OutEdges(EntityId e) const {
-  auto it = out_.find(e);
-  return it == out_.end() ? kNoEdges : it->second->edges;
+  const AdjRow* row = Row(e);
+  return row == nullptr ? kNoEdges : row->edges;
 }
 
 double EdgeStore::OutWeight(EntityId e) const {
-  auto it = out_.find(e);
-  return it == out_.end() ? 0.0 : it->second->weight_sum;
+  const AdjRow* row = Row(e);
+  return row == nullptr ? 0.0 : row->weight_sum;
 }
 
 size_t EdgeStore::CountLabel(EdgeLabel label) const {
@@ -112,10 +124,8 @@ size_t EdgeStore::CountLabel(EdgeLabel label) const {
 
 bool EdgeStore::SharesAdjacencyRow(const EdgeStore& other,
                                    EntityId e) const {
-  auto it = out_.find(e);
-  auto jt = other.out_.find(e);
-  if (it == out_.end() || jt == other.out_.end()) return false;
-  return it->second == jt->second;
+  const AdjRow* row = Row(e);
+  return row != nullptr && row == other.Row(e);
 }
 
 }  // namespace s3::social

@@ -10,15 +10,18 @@
 // Storage is built for the live-update pipeline's copy-on-write
 // snapshots: the append-only edge log lives in fixed-size immutable
 // chunks behind shared_ptr (a copied store shares every full chunk and
-// clones only the tail chunk on its next append), and the per-entity
-// adjacency rows are individually shared_ptr'd (a copied store clones
-// only the rows its new edges actually touch).
+// clones only the tail chunk on its next append). The per-entity
+// adjacency rows hang off one dense spine per entity kind (user,
+// fragment and tag ids are dense): fixed-size chunks of row pointers,
+// each chunk and each row behind its own shared_ptr. A copied store
+// shares every chunk; its next append clones only the chunk and the
+// row the new edge touches.
 #ifndef S3_SOCIAL_EDGE_STORE_H_
 #define S3_SOCIAL_EDGE_STORE_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "social/entity.h"
@@ -53,8 +56,8 @@ struct NetEdge {
 };
 
 // Append-only store of network edges with per-entity outgoing
-// adjacency. Copyable in O(chunks + adjacency rows); the copy shares
-// all edge payloads with the original (see file comment).
+// adjacency. Copyable in O(chunks); the copy shares all edge payloads
+// and adjacency rows with the original (see file comment).
 class EdgeStore {
  public:
   // Edges per immutable log chunk. All chunks except the last hold
@@ -134,9 +137,17 @@ class EdgeStore {
 
   using Chunk = std::vector<NetEdge>;
 
+  // Adjacency rows per spine chunk.
+  static constexpr uint32_t kRowChunk = 256;
+  using RowChunk = std::array<std::shared_ptr<AdjRow>, kRowChunk>;
+  using Spine = std::vector<std::shared_ptr<RowChunk>>;
+
+  // `e`'s adjacency row, or null when it has no outgoing edge.
+  const AdjRow* Row(EntityId e) const;
+
   std::vector<std::shared_ptr<Chunk>> chunks_;
   size_t n_edges_ = 0;
-  std::unordered_map<EntityId, std::shared_ptr<AdjRow>> out_;
+  std::array<Spine, 3> out_;  // indexed by EntityKind
 };
 
 }  // namespace s3::social

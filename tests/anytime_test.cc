@@ -645,8 +645,8 @@ TEST(AnytimeShardTest, EpsilonSweepThroughRouter) {
               << what << " [home]";
         }
 
-        // Scatter-gather: merged entries + a *global* certificate
-        // folded from the per-shard exports.
+        // QueryGlobal: the same home-shard answer, whose certificate
+        // must hold against the oracle over the whole population.
         auto global = router->QueryGlobal(req);
         ASSERT_TRUE(global.ok()) << global.status().ToString();
         EXPECT_FALSE(global->deadline_exceeded) << what;

@@ -1,8 +1,9 @@
 // Sharding subsystem tests: partitioner determinism (golden pinned
 // hash assignments, endian/platform-stable), shard-vs-unsharded
-// bit-for-bit equality across every shard count, scatter-gather merge
-// pruning, delta routing with independent per-shard generations, and
-// the storage round-trip (split -> Open -> query -> update -> reopen).
+// bit-for-bit equality across every shard count, every replica of a
+// seeker's group answering exactly, home-shard routing, delta routing
+// with independent per-shard generations, and the storage round-trip
+// (split -> Open -> query -> update -> reopen).
 #include <unistd.h>
 
 #include <algorithm>
@@ -380,9 +381,82 @@ TEST_P(ShardEquivalenceTest, EveryShardCountMatchesUnshardedAndOracle) {
 INSTANTIATE_TEST_SUITE_P(CacheOnOff, ShardEquivalenceTest,
                          ::testing::Bool());
 
-// ---- scatter-gather -------------------------------------------------------
+// ---- one replica answers ------------------------------------------------
 
-TEST(ShardRouterTest, ScatterGatherMatchesRoutedAndPrunesForeignShards) {
+// The invariant home-shard routing rests on: every shard that
+// materializes the seeker's reach group, asked through its own
+// QueryService, answers what the unsharded serial engine answers —
+// entries, order, score intervals and certificate, bit for bit.
+class ShardReplicaTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ShardReplicaTest, EveryReplicaOfTheSeekersGroupAnswersExactly) {
+  const bool cache_on = GetParam();
+  auto mg = BuildMultiGroup(4, 3, 23);
+  const S3Instance& full = *mg.instance;
+  std::shared_ptr<const S3Instance> keep = std::move(mg.instance);
+  const server::QueryServiceOptions sopts = ServiceOptions(cache_on);
+  core::S3kSearcher serial(full, sopts.search);
+
+  for (uint32_t n_shards : {1u, 2u, 3u, 4u, 5u}) {
+    PartitionOptions popts;
+    popts.shard_count = n_shards;
+    auto partition = Partition(full, popts);
+    ASSERT_TRUE(partition.ok()) << partition.status().ToString();
+    std::vector<std::unique_ptr<server::QueryService>> services;
+    for (const ShardPart& part : partition->shards) {
+      services.push_back(
+          std::make_unique<server::QueryService>(part.instance, sopts));
+    }
+
+    for (social::UserId u = 0; u < full.UserCount(); ++u) {
+      uint64_t mask = 0;
+      for (social::UserId v = 0; v < full.UserCount(); ++v) {
+        if (partition->user_root[v] == partition->user_root[u]) {
+          mask |= uint64_t{1} << ShardOfUser(v, n_shards);
+        }
+      }
+      ASSERT_NE((mask >> ShardOfUser(u, n_shards)) & 1, 0u);
+
+      for (double eps : {0.0, 0.05}) {
+        core::QueryOptions o;
+        o.epsilon_approx = eps;
+        o.mode = core::QueryMode::kAnytime;
+        const core::QueryRequest req(u, {mg.keywords[1], mg.keywords[2]}, o);
+        core::SearchStats want_stats;
+        auto want = serial.Search(req, &want_stats);
+        ASSERT_TRUE(want.ok()) << want.status().ToString();
+
+        for (uint32_t s = 0; s < n_shards; ++s) {
+          if (((mask >> s) & 1) == 0) continue;
+          const std::string what =
+              "shards=" + std::to_string(n_shards) + " shard=" +
+              std::to_string(s) + " seeker=" + std::to_string(u) +
+              " eps=" + std::to_string(eps);
+          auto fut = services[s]->SubmitBlocking(req);
+          ASSERT_TRUE(fut.ok()) << fut.status().ToString();
+          auto got = fut->get();
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          std::vector<ResultEntry> mapped;
+          for (const ResultEntry& e : got->entries) {
+            auto global = partition->shards[s].map.GlobalNode(e.node);
+            ASSERT_TRUE(global.ok()) << what;
+            mapped.push_back(ResultEntry{*global, e.lower, e.upper});
+          }
+          ExpectSameEntries(mapped, *want, what);
+          EXPECT_EQ(got->stats.kth_lower, want_stats.kth_lower) << what;
+          EXPECT_EQ(got->stats.remaining_upper, want_stats.remaining_upper)
+              << what;
+          EXPECT_EQ(got->certified_epsilon, want_stats.certified_epsilon)
+              << what;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(CacheOnOff, ShardReplicaTest, ::testing::Bool());
+
+TEST(ShardRouterTest, QueryGlobalIsQueryAnsweredByTheHomeShard) {
   auto mg = BuildMultiGroup(5, 2, 31);
   const S3Instance& full = *mg.instance;
   std::shared_ptr<const S3Instance> full_shared = std::move(mg.instance);
@@ -391,36 +465,58 @@ TEST(ShardRouterTest, ScatterGatherMatchesRoutedAndPrunesForeignShards) {
   popts.shard_count = 4;
   auto partition = Partition(full, popts);
   ASSERT_TRUE(partition.ok());
-  const std::vector<uint32_t> user_root = partition->user_root;
 
+  // Cache off, so the second call's cache outcome equals the first's.
   ShardRouterOptions ropts;
-  ropts.service = ServiceOptions(true);
+  ropts.service = ServiceOptions(false);
   auto router = ShardRouter::Serve(std::move(*partition), ropts);
   ASSERT_TRUE(router.ok());
 
   for (social::UserId u = 0; u < full.UserCount(); ++u) {
+    const std::string what = "seeker " + std::to_string(u);
     Query q{u, {mg.keywords[0], mg.keywords[3]}};
     auto routed = (*router)->Query(q);
     auto global = (*router)->QueryGlobal(q);
     ASSERT_TRUE(routed.ok());
     ASSERT_TRUE(global.ok());
-    ExpectSameEntries(global->entries, routed->entries,
-                      "seeker " + std::to_string(u));
 
-    // Shards that materialize the seeker's group were queried; every
-    // other shard was pruned statically (its best bound is exactly 0:
-    // no social path from the seeker exists there).
-    uint64_t mask = 0;
-    for (social::UserId v = 0; v < full.UserCount(); ++v) {
-      if (user_root[v] == user_root[u]) {
-        mask |= uint64_t{1} << ShardOfUser(v, popts.shard_count);
-      }
+    // Field for field (timings and load samples excepted).
+    ExpectSameEntries(global->entries, routed->entries, what);
+    EXPECT_EQ(global->generations, routed->generations) << what;
+    EXPECT_EQ(global->shards_queried, routed->shards_queried) << what;
+    EXPECT_EQ(global->shards_pruned, routed->shards_pruned) << what;
+    EXPECT_EQ(global->cache_hit, routed->cache_hit) << what;
+    EXPECT_EQ(global->kth_lower, routed->kth_lower) << what;
+    EXPECT_EQ(global->remaining_upper, routed->remaining_upper) << what;
+    EXPECT_EQ(global->certified_epsilon, routed->certified_epsilon) << what;
+    EXPECT_EQ(global->deadline_exceeded, routed->deadline_exceeded) << what;
+    EXPECT_EQ(global->stats.iterations, routed->stats.iterations) << what;
+    EXPECT_EQ(global->stats.candidates_total, routed->stats.candidates_total)
+        << what;
+    ASSERT_EQ(global->shards.size(), routed->shards.size()) << what;
+    for (size_t s = 0; s < global->shards.size(); ++s) {
+      const ShardReport& g = global->shards[s];
+      const ShardReport& r = routed->shards[s];
+      EXPECT_EQ(g.shard, r.shard) << what;
+      EXPECT_EQ(g.generation, r.generation) << what;
+      EXPECT_EQ(g.queried, r.queried) << what;
+      EXPECT_EQ(g.pruned_bound, r.pruned_bound) << what;
+      EXPECT_EQ(g.cache_hit, r.cache_hit) << what;
+      EXPECT_EQ(g.deadline_exceeded, r.deadline_exceeded) << what;
+      EXPECT_EQ(g.kth_lower, r.kth_lower) << what;
+      EXPECT_EQ(g.remaining_upper, r.remaining_upper) << what;
+      EXPECT_EQ(g.certified_epsilon, r.certified_epsilon) << what;
+      EXPECT_EQ(g.entries, r.entries) << what;
     }
+
+    // Exactly one shard answered, and it is the seeker's home shard.
+    const uint32_t home = ShardOfUser(u, popts.shard_count);
+    EXPECT_EQ((*router)->HomeShardOfUser(u), home) << what;
+    EXPECT_EQ(global->shards_queried, 1u) << what;
     for (const ShardReport& report : global->shards) {
-      const bool in_mask = ((mask >> report.shard) & 1) != 0;
-      EXPECT_EQ(report.queried || report.pruned_bound, in_mask)
-          << "seeker " << u << " shard " << report.shard;
-      EXPECT_EQ(report.pruned_unreachable, !in_mask);
+      EXPECT_EQ(report.queried, report.shard == home)
+          << what << " shard " << report.shard;
+      EXPECT_FALSE(report.pruned_bound) << what;
     }
     EXPECT_EQ(global->shards_queried + global->shards_pruned,
               (*router)->shard_count());

@@ -427,28 +427,36 @@ TEST(BinarySnapshotConfusionTest, CrcValidKindConfusionIsRejected) {
   }
   ASSERT_NE(edges_payload, 0u) << "EDGES section not found";
 
-  // Find a kCommentsOn edge (label 3) and rewrite its source to user 0
-  // (packed kind bits 00): in range for USERS, hostile for the
-  // comments_on_ rebuild, invisible to the checksum once refreshed.
-  std::string corrupt = blob_;
-  bool rewrote = false;
-  size_t at = edges_payload + 8;  // skip the u64 edge count
-  while (at + 17 <= edges_payload + edges_size) {
-    if (static_cast<uint8_t>(corrupt[at]) ==
-        static_cast<uint8_t>(social::EdgeLabel::kCommentsOn)) {
-      corrupt[at + 1] = corrupt[at + 2] = corrupt[at + 3] =
-          corrupt[at + 4] = '\0';  // source packed = 0 -> User(0)
-      rewrote = true;
-      break;
+  // Rewrites the source of the first kCommentsOn edge (label 3) to
+  // `packed` and refreshes the EDGES checksum, so only structural
+  // validation stands between the bytes and the engine.
+  auto rewrite_source = [&](uint32_t packed) {
+    std::string corrupt = blob_;
+    bool rewrote = false;
+    size_t at = edges_payload + 8;  // skip the u64 edge count
+    while (at + 17 <= edges_payload + edges_size) {
+      if (static_cast<uint8_t>(corrupt[at]) ==
+          static_cast<uint8_t>(social::EdgeLabel::kCommentsOn)) {
+        std::string source;
+        ByteWriter(&source).U32(packed);
+        corrupt.replace(at + 1, 4, source);
+        rewrote = true;
+        break;
+      }
+      at += 17;
     }
-    at += 17;
-  }
-  ASSERT_TRUE(rewrote) << "no kCommentsOn edge in the fixture";
-  std::string fresh_crc;
-  ByteWriter(&fresh_crc)
-      .U32(Crc32(std::string_view(corrupt).substr(edges_payload,
-                                                  edges_size)));
-  corrupt.replace(edges_crc_at, 4, fresh_crc);
+    EXPECT_TRUE(rewrote) << "no kCommentsOn edge in the fixture";
+    std::string fresh_crc;
+    ByteWriter(&fresh_crc)
+        .U32(Crc32(std::string_view(corrupt).substr(edges_payload,
+                                                    edges_size)));
+    corrupt.replace(edges_crc_at, 4, fresh_crc);
+    return corrupt;
+  };
+
+  // User 0 (packed kind bits 00): in range for USERS, hostile for the
+  // comments_on_ rebuild, invisible to the checksum once refreshed.
+  std::string corrupt = rewrite_source(0);
 
   // Sanity: the refreshed checksum passes frame inspection...
   auto info = InspectBinarySnapshot(corrupt);
@@ -463,6 +471,15 @@ TEST(BinarySnapshotConfusionTest, CrcValidKindConfusionIsRejected) {
   EXPECT_NE(loaded.status().message().find("kinds do not match"),
             std::string::npos)
       << loaded.status().ToString();
+
+  // The largest fragment index: the EDGES decoder itself refuses it,
+  // before the edge store would size its adjacency spine by it.
+  auto far = LoadBinarySnapshot(rewrite_source((1u << 30) | 0x3fffffffu));
+  ASSERT_FALSE(far.ok());
+  EXPECT_NE(far.status().message().find(
+                "section EDGES: edge endpoint out of range"),
+            std::string::npos)
+      << far.status().ToString();
 }
 
 // ---- v2 zero-copy attach -----------------------------------------------
