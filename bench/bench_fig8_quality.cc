@@ -103,8 +103,13 @@ QualityRow Measure(const workload::GenResult& gen) {
     baseline::TopkSSearcher topks(flat.uit, topts);
 
     for (const auto& q : qs.queries) {
+      // The plan holds the candidate universe the graph-reachability
+      // metric needs; the search runs over the same plan.
+      auto plan = core::BuildCandidatePlan(inst, q.keywords,
+                                           opts.use_semantics, opts.score.eta);
+      if (!plan.ok()) continue;
       core::SearchStats st, st_plain;
-      auto rs = s3k.Search(q, &st);
+      auto rs = s3k.SearchWithPlan(q, *plan, &st);
       (void)s3k_plain.Search(q, &st_plain);
       baseline::TopkSStats tst;
       auto rt = topks.Search(q.seeker, q.keywords, &tst);
@@ -116,14 +121,15 @@ QualityRow Measure(const workload::GenResult& gen) {
       // the candidates of S3k are documents, not merged items).
       std::vector<bool> reachable_user = ReachableUsers(flat, q.seeker);
       size_t missed = 0;
-      for (doc::NodeId n : st.candidate_nodes) {
-        if (!CandidateReachable(inst, poster_of, reachable_user, n)) {
-          ++missed;
+      for (const core::ComponentCandidates& cc : plan->per_comp) {
+        for (const core::Candidate& c : cc.candidates) {
+          if (!CandidateReachable(inst, poster_of, reachable_user, c.node)) {
+            ++missed;
+          }
         }
       }
-      if (!st.candidate_nodes.empty()) {
-        sum_graph +=
-            static_cast<double>(missed) / st.candidate_nodes.size();
+      if (st.candidates_total > 0) {
+        sum_graph += static_cast<double>(missed) / st.candidates_total;
       }
 
       // Semantic reachability: candidates without / with extension.

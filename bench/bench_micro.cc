@@ -10,13 +10,10 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_context.h"
-#include "common/rng.h"
 #include "core/connections.h"
 #include "core/s3k.h"
 #include "rdf/saturation.h"
@@ -121,12 +118,12 @@ void BM_PropagateStep(benchmark::State& state) {
           l, 1.0);
   }
   for (int step = 0; dense && step < 6; ++step) {
-    m.PropagateBatchAdaptive(f, g, nullptr);
+    m.PropagateBatchAdaptive(f, g);
     std::swap(f, g);
   }
   bool used_pull = false;
   for (auto _ : state) {
-    m.PropagateBatchAdaptive(f, g, nullptr, &used_pull);
+    m.PropagateBatchAdaptive(f, g, &used_pull);
     benchmark::DoNotOptimize(g.values.data());
     benchmark::ClobberMemory();
   }
@@ -244,86 +241,6 @@ BENCHMARK(BM_S3kQueryBatched)
     ->Args({20, 1})
     ->Args({20, 4})
     ->Args({20, 8});
-
-// The solo fat query: a controlled component-count sweep for the
-// intra-query fan-out. BM_S3kQuery averages over the whole workload —
-// mostly thin plans, and the microblog trace's fattest query is
-// dominated by the giant reply component, so the cost model correctly
-// declines to shard it. This instance is built to be the fan-out's
-// target shape instead: C disjoint comment-linked document clusters
-// (one passing component each, balanced work), every cluster holding
-// the query keyword, the seeker socially adjacent to every poster.
-// Counters report the passing-component count and whether the cost
-// model actually picked the fan-out (comps >= 8 legs should report
-// fanout=1 at threads >= 2).
-core::S3Instance& FatInstance(size_t n_clusters) {
-  static std::map<size_t, std::unique_ptr<core::S3Instance>>* cache =
-      new std::map<size_t, std::unique_ptr<core::S3Instance>>();
-  auto it = cache->find(n_clusters);
-  if (it != cache->end()) return *it->second;
-
-  auto inst = std::make_unique<core::S3Instance>();
-  Rng rng(4200 + n_clusters);
-  social::UserId seeker = inst->AddUser("seeker");
-  KeywordId kw = inst->InternKeyword("fatkw");
-  KeywordId filler = inst->InternKeyword("filler");
-  for (size_t c = 0; c < n_clusters; ++c) {
-    social::UserId poster = inst->AddUser("poster" + std::to_string(c));
-    (void)inst->AddSocialEdge(seeker, poster, 0.2 + 0.7 * rng.NextDouble());
-    (void)inst->AddSocialEdge(poster, seeker, 0.2 + 0.7 * rng.NextDouble());
-    const size_t n_docs = 30 + rng.Uniform(5);
-    doc::NodeId head = doc::kInvalidNode;
-    for (size_t i = 0; i < n_docs; ++i) {
-      doc::Document d("doc");
-      uint32_t par = d.AddChild(0, "par");
-      d.AddKeywords(par, {kw});
-      if (rng.Chance(0.5)) {
-        uint32_t extra = d.AddChild(0, "par");
-        d.AddKeywords(extra, {filler});
-      }
-      doc::DocId id =
-          inst->AddDocument(std::move(d),
-                            "f" + std::to_string(c) + "_" + std::to_string(i),
-                            poster)
-              .value();
-      if (i == 0) {
-        head = inst->docs().RootNode(id);
-      } else {
-        (void)inst->AddComment(id, head);
-      }
-    }
-  }
-  (void)inst->Finalize();
-  auto [pos, inserted] = cache->emplace(n_clusters, std::move(inst));
-  return *pos->second;
-}
-
-void BM_S3kQueryFat(benchmark::State& state) {
-  const size_t n_comps = static_cast<size_t>(state.range(0));
-  core::S3Instance& inst = FatInstance(n_comps);
-  core::S3kOptions opts;
-  opts.k = 20;
-  opts.threads = static_cast<unsigned>(state.range(1));
-  core::S3kSearcher searcher(inst, opts);
-  core::Query q{/*seeker=*/0, {inst.vocabulary().Find("fatkw")}};
-  core::SearchStats st;
-  for (auto _ : state) {
-    auto r = searcher.Search(q, &st);
-    benchmark::DoNotOptimize(r);
-  }
-  state.counters["comps"] = static_cast<double>(st.components_passing);
-  state.counters["fanout"] = st.used_component_fanout ? 1.0 : 0.0;
-}
-BENCHMARK(BM_S3kQueryFat)
-    ->ArgNames({"comps", "threads"})
-    ->Args({4, 1})
-    ->Args({4, 8})
-    ->Args({16, 1})
-    ->Args({16, 2})
-    ->Args({16, 4})
-    ->Args({16, 8})
-    ->Args({64, 1})
-    ->Args({64, 8});
 
 }  // namespace
 

@@ -39,6 +39,11 @@ namespace {
 
 using namespace s3;
 
+// `length` queries over `distinct` hot keyword sets. Each entry draws
+// its keyword set and its seeker independently, the seeker uniformly
+// over all users: home routing sends all of one seeker's queries to one
+// shard, so a few repeated seekers would measure their home shards
+// rather than the partition.
 std::vector<core::Query> MakeHotTrace(const core::S3Instance& inst,
                                       const std::vector<KeywordId>& anchors,
                                       size_t distinct, size_t length) {
@@ -54,7 +59,10 @@ std::vector<core::Query> MakeHotTrace(const core::S3Instance& inst,
   std::vector<core::Query> trace;
   trace.reserve(length);
   for (size_t i = 0; i < length; ++i) {
-    trace.push_back(qs.queries[rng.Uniform(qs.queries.size())]);
+    const core::Query& hot = qs.queries[rng.Uniform(qs.queries.size())];
+    const auto seeker =
+        static_cast<social::UserId>(rng.Uniform(inst.UserCount()));
+    trace.push_back(core::Query{seeker, hot.keywords});
   }
   return trace;
 }

@@ -16,7 +16,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <sstream>
 
 #include "obs/metrics.h"
@@ -84,8 +83,6 @@ int main(int argc, char** argv) {
                "query format: <seeker-uri> <keyword> [keyword...]\n"
                ":eps <value> sets a certified anytime slack for later "
                "queries (0 = exact)\n"
-               ":threads <n> sets intra-query threads (0 = auto; results "
-               "are identical at any count)\n"
                ":trace toggles per-query engine iteration traces\n"
                ":metrics dumps the session's metric registry "
                "(Prometheus text)\n",
@@ -98,17 +95,14 @@ int main(int argc, char** argv) {
 
   core::S3kOptions opts;
   opts.k = 5;
-  // Re-emplaced by ":threads <n>" (the pool is built at construction).
-  std::optional<core::S3kSearcher> searcher;
-  searcher.emplace(*inst, opts);
+  core::S3kSearcher searcher(*inst, opts);
 
   // Session-wide per-request options, adjusted with ":eps <value>".
   core::QueryOptions qopts;
 
   // Session observability: shell queries bypass QueryService, so the
   // shell observes its own latency series into the default registry;
-  // :metrics dumps the full registry (thread-pool series included).
-  obs::RegisterProcessMetrics();
+  // :metrics dumps the full registry.
   obs::Histogram* h_query = obs::MetricRegistry::Default().GetHistogram(
       "s3_shell_query_seconds", "End-to-end latency of shell queries");
   obs::Counter* c_queries = obs::MetricRegistry::Default().GetCounter(
@@ -125,20 +119,6 @@ int main(int argc, char** argv) {
     std::istringstream in(line);
     std::string seeker_uri;
     in >> seeker_uri;
-    if (seeker_uri == ":threads") {
-      long n = -1;
-      if (!(in >> n) || n < 0) {
-        std::printf("! usage: :threads <count> (0 = auto)\n");
-        continue;
-      }
-      opts.threads = static_cast<unsigned>(n);
-      searcher.reset();
-      searcher.emplace(*inst, opts);
-      std::printf("-- intra-query threads=%u%s\n",
-                  searcher->options().threads,
-                  n == 0 ? " (auto)" : "");
-      continue;
-    }
     if (seeker_uri == ":metrics") {
       const std::string text = obs::MetricRegistry::Default().RenderPrometheus();
       if (text.empty()) {
@@ -191,7 +171,7 @@ int main(int argc, char** argv) {
     if (q.keywords.empty()) continue;
 
     core::SearchStats st;
-    auto result = searcher->Search(
+    auto result = searcher.Search(
         core::QueryRequest(q.seeker, q.keywords, qopts), &st);
     if (!result.ok()) {
       std::printf("! %s\n", result.status().ToString().c_str());

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <functional>
 #include <limits>
-#include <thread>
 #include <unordered_map>
 
 #include "common/timer.h"
@@ -17,19 +14,6 @@ namespace s3::core {
 namespace {
 
 using social::ComponentId;
-using social::Frontier;
-
-// Runs fn(i) for i in [0, n): striped over `pool` when it exists and
-// the trip count is worth the dispatch, serial otherwise.
-void MaybeParallelFor(ThreadPool* pool, size_t n,
-                      const std::function<void(size_t)>& fn,
-                      size_t min_parallel) {
-  if (pool == nullptr || n < min_parallel) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-  } else {
-    pool->ParallelFor(n, fn);
-  }
-}
 
 // Resets a scratch frontier for a new query (or batch), reusing the
 // dense buffer when the instance size and lane count are unchanged
@@ -42,11 +26,6 @@ void ResetFrontier(social::BatchFrontier& f, size_t total_rows,
     f.Init(total_rows, lanes);
   }
 }
-
-// Minimum static per-iteration work (reverse-index entries + bound
-// arithmetic terms) before the component fan-out pays for its task
-// dispatch; below it the iteration runs serially or lane-striped.
-constexpr uint64_t kMinFanoutWork = 2048;
 
 }  // namespace
 
@@ -74,19 +53,14 @@ BatchSeeker ResolveLane(const QueryRequest& request,
   lane.epsilon_approx = request.options.mode == QueryMode::kAnytime
                             ? request.options.epsilon_approx
                             : 0.0;
-  // Deprecated-alias mapping: a request without its own deadline
-  // inherits S3kOptions::time_budget_seconds, so legacy budget-based
-  // deployments behave identically through the new surface.
-  lane.deadline_seconds = request.options.deadline_seconds > 0.0
-                              ? request.options.deadline_seconds
-                              : defaults.time_budget_seconds;
+  lane.deadline_seconds = request.options.deadline_seconds;
   lane.trace = request.options.trace;
   return lane;
 }
 
 Result<CandidatePlan> BuildCandidatePlan(
     const S3Instance& instance, const std::vector<KeywordId>& keywords,
-    bool use_semantics, double eta, ThreadPool* pool) {
+    bool use_semantics, double eta) {
   if (!instance.finalized()) {
     return Status::FailedPrecondition("instance not finalized");
   }
@@ -137,39 +111,17 @@ Result<CandidatePlan> BuildCandidatePlan(
 
   // ---- 3. Candidate construction per passing component (the paper's
   // GetDocuments, run eagerly; exploration refines only prox).
-  plan.per_comp.resize(plan.passing.size());
-  MaybeParallelFor(
-      pool, plan.passing.size(),
-      [&](size_t i) {
-        ConnectionBuilder builder(instance, eta);
-        plan.per_comp[i] = builder.Build(plan.passing[i], plan.ext);
-      },
-      /*min_parallel=*/8);
+  plan.per_comp.reserve(plan.passing.size());
+  for (ComponentId c : plan.passing) {
+    ConnectionBuilder builder(instance, eta);
+    plan.per_comp.push_back(builder.Build(c, plan.ext));
+  }
 
   return plan;
 }
 
 S3kSearcher::S3kSearcher(const S3Instance& instance, S3kOptions options)
-    : instance_(instance), options_(options) {
-  // Thread-count resolution. The S3_TEST_THREADS override applies only
-  // when the caller left the default (1): it lets CI run the whole
-  // suite through the parallel path — safe because results are
-  // bit-for-bit identical at every thread count — without touching
-  // call sites that picked a width deliberately.
-  if (options_.threads == 1) {
-    if (const char* env = std::getenv("S3_TEST_THREADS")) {
-      const long v = std::strtol(env, nullptr, 10);
-      if (v >= 0) options_.threads = static_cast<unsigned>(v);
-    }
-  }
-  if (options_.threads == 0) {  // auto
-    options_.threads = std::thread::hardware_concurrency();
-    if (options_.threads == 0) options_.threads = 1;
-  }
-  if (options_.threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.threads - 1);
-  }
-}
+    : instance_(instance), options_(options) {}
 
 Result<std::vector<ResultEntry>> S3kSearcher::Search(
     const QueryRequest& query, SearchStats* stats) {
@@ -179,8 +131,7 @@ Result<std::vector<ResultEntry>> S3kSearcher::Search(
     return Status::InvalidArgument("unknown seeker");
   }
   auto plan = BuildCandidatePlan(instance_, query.keywords,
-                                 options_.use_semantics, options_.score.eta,
-                                 pool_.get());
+                                 options_.use_semantics, options_.score.eta);
   if (!plan.ok()) return plan.status();
   auto result = SearchWithPlan(query, *plan, stats);
   if (stats != nullptr && result.ok()) {
@@ -258,68 +209,19 @@ Result<std::vector<BatchQueryResult>> S3kSearcher::SearchBatchWithPlan(
   CandidateBoundEngine engine(instance_.docs(), n_keywords, total_rows,
                               plan.per_comp, L);
 
-  // ---- intra-query scheduling. Effective concurrency = the calling
-  // thread + pool helpers, capped by the serving layer's per-query
-  // thread limit (the helper cap divides one machine among busy
-  // service workers without resizing pools).
-  size_t eff_threads = 1 + (pool_ != nullptr ? pool_->WorkerCount() : 0);
-  if (thread_limit_ > 0) {
-    eff_threads = std::min(eff_threads, static_cast<size_t>(thread_limit_));
-  }
-  if (pool_ != nullptr) pool_->SetHelperLimit(eff_threads - 1);
-  // Component fan-out verdict: shard the per-iteration body across
-  // component slots only when the plan is genuinely multi-component,
-  // the per-iteration work is worth a dispatch, and no single slot
-  // dominates (a plan with one 90% slot serializes on its fattest task
-  // anyway — lane/candidate striping serves it better). Slot work is
-  // static — rev entries folded plus candidate-bound arithmetic — so
-  // the verdict is taken once per query. The fan-out changes schedules
-  // only, never results (see bound_engine.h's sharding argument).
-  bool use_fanout = false;
-  if (pool_ != nullptr && eff_threads > 1 && n_slots >= 2) {
-    uint64_t work = 0, max_work = 0;
-    for (size_t t = 0; t < n_slots; ++t) {
-      const uint64_t w =
-          engine.SlotRevEntries(static_cast<uint32_t>(t)) +
-          static_cast<uint64_t>(engine.SlotEnd(static_cast<uint32_t>(t)) -
-                                engine.SlotBegin(static_cast<uint32_t>(t))) *
-              n_keywords * L;
-      work += w;
-      max_work = std::max(max_work, w);
-    }
-    use_fanout = work >= kMinFanoutWork && max_work * 4 <= work * 3;
-  }
-
   std::vector<BatchQueryResult> out(B);
   std::vector<size_t> ks(B);
-  // Per-lane anytime parameters. A zero deadline inherits the
-  // deprecated options_.time_budget_seconds (the alias mapping), so
-  // the legacy global budget and a per-request deadline are one
-  // mechanism; eps == 0 lanes never touch the anytime exit at all.
-  std::vector<double> lane_eps(B), lane_deadline(B);
-  // Per-lane iteration tracing (observability only): untraced lanes
-  // skip the record entirely, so the common case allocates nothing.
-  std::vector<uint8_t> lane_trace(B, 0);
+  // Per-lane anytime parameters (batch[s].epsilon_approx and
+  // deadline_seconds): eps == 0 lanes never touch the anytime exit at
+  // all, and a zero deadline never expires.
   bool any_deadline = false;
   for (size_t s = 0; s < B; ++s) {
-    lane_eps[s] = batch[s].epsilon_approx;
-    lane_deadline[s] = batch[s].deadline_seconds > 0.0
-                           ? batch[s].deadline_seconds
-                           : options_.time_budget_seconds;
-    any_deadline = any_deadline || lane_deadline[s] > 0.0;
-    lane_trace[s] = batch[s].trace ? 1 : 0;
-  }
-  for (size_t s = 0; s < B; ++s) {
+    any_deadline = any_deadline || batch[s].deadline_seconds > 0.0;
     ks[s] = batch[s].k > 0 ? batch[s].k : options_.k;
     SearchStats& st = out[s].stats;
-    st.used_component_fanout = use_fanout;
     st.extension_keywords = plan.extension_keywords;
     st.components_passing = n_slots;
     st.candidates_total = engine.size();
-    st.candidate_nodes.reserve(engine.size());
-    for (uint32_t ci = 0; ci < engine.size(); ++ci) {
-      st.candidate_nodes.push_back(engine.node(ci));
-    }
   }
 
   // Component slots ordered by cap (for the unexplored-docs threshold).
@@ -332,9 +234,7 @@ Result<std::vector<BatchQueryResult>> S3kSearcher::SearchBatchWithPlan(
   // the passing component. A component is discovered in a lane the
   // first time that lane's frontier holds mass on one of its rows; a
   // row is compacted away once every unfinished lane has discovered
-  // its slot, so each list only shrinks. Slot-local lists let the
-  // fan-out scan them inside the per-slot tasks; iterating slots in
-  // order reproduces the old slot-major interleaved sweep exactly.
+  // its slot, so each list only shrinks.
   std::vector<std::vector<uint32_t>> slot_watch(n_slots);
   for (size_t i = 0; i < n_slots; ++i) {
     const std::vector<uint32_t>& members =
@@ -435,79 +335,6 @@ Result<std::vector<BatchQueryResult>> S3kSearcher::SearchBatchWithPlan(
     frontier.ZeroLane(s);
   };
 
-  // Fan-out scratch. discovered_now is written slot-locally inside the
-  // B1 tasks and applied at the serial barrier in canonical slot-major
-  // / lane-minor order; slot_any_active tracks "some lane activated
-  // this slot" (= union-list membership, per whole slots);
-  // cleaned_now[t * B + s] carries the per-slot kill counts to the
-  // barrier (an integer sum, so task order is immaterial).
-  std::vector<uint8_t> discovered_now(n_slots * L, 0);
-  std::vector<uint8_t> slot_any_active(n_slots, 0);
-  std::vector<size_t> cleaned_now;
-  if (use_fanout) {
-    cleaned_now.assign(n_slots * B, 0);
-    if (slot_orders_.size() < n_slots * B) slot_orders_.resize(n_slots * B);
-  }
-
-  // Runs one per-slot task per component slot: striped on the pool in
-  // fan-out mode, in ascending slot order serially otherwise. Both
-  // schedules produce identical state — the tasks write disjoint
-  // per-slot ranges and every cross-slot effect goes through a
-  // canonical-order barrier — so the mode is invisible in results.
-  auto run_slots = [&](const std::function<void(size_t)>& fn) {
-    if (use_fanout) {
-      pool_->ParallelFor(n_slots, fn);
-    } else {
-      for (size_t t = 0; t < n_slots; ++t) fn(t);
-    }
-  };
-
-  // Deterministic reduction for the fan-out's stop check: k-way merge
-  // of the per-slot sorted orders under the same total-order
-  // comparator the serial path sorts with ((upper desc, node asc);
-  // nodes are unique), so the merged sequence is exactly what sorting
-  // the concatenated lists would produce.
-  struct SlotCursor {
-    uint32_t slot;
-    uint32_t idx;
-  };
-  std::vector<SlotCursor> merge_heap;
-  auto merge_slot_orders = [&](size_t s, std::vector<uint32_t>& order) {
-    auto before = [&](uint32_t a, uint32_t b) {
-      if (engine.upper(a, s) != engine.upper(b, s)) {
-        return engine.upper(a, s) > engine.upper(b, s);
-      }
-      return engine.node(a) < engine.node(b);
-    };
-    auto heap_cmp = [&](const SlotCursor& x, const SlotCursor& y) {
-      return before(slot_orders_[y.slot * B + s][y.idx],
-                    slot_orders_[x.slot * B + s][x.idx]);
-    };
-    merge_heap.clear();
-    size_t total = 0;
-    for (size_t t = 0; t < n_slots; ++t) {
-      if (!discovered[t * L + s]) continue;
-      const std::vector<uint32_t>& so = slot_orders_[t * B + s];
-      if (!so.empty()) {
-        merge_heap.push_back({static_cast<uint32_t>(t), 0});
-        total += so.size();
-      }
-    }
-    order.reserve(total);
-    std::make_heap(merge_heap.begin(), merge_heap.end(), heap_cmp);
-    while (!merge_heap.empty()) {
-      std::pop_heap(merge_heap.begin(), merge_heap.end(), heap_cmp);
-      SlotCursor& c = merge_heap.back();
-      const std::vector<uint32_t>& so = slot_orders_[c.slot * B + s];
-      order.push_back(so[c.idx]);
-      if (++c.idx < so.size()) {
-        std::push_heap(merge_heap.begin(), merge_heap.end(), heap_cmp);
-      } else {
-        merge_heap.pop_back();
-      }
-    }
-  };
-
   // ---- 5. Main loop: one shared CSR walk per iteration, per-lane
   // bookkeeping per seeker. Per lane this runs exactly the
   // single-seeker sequence (a zero delta / zero mass is bitwise inert:
@@ -531,8 +358,7 @@ Result<std::vector<BatchQueryResult>> S3kSearcher::SearchBatchWithPlan(
       if (!finished[s] && !exhausted[s]) any_frontier = true;
     }
     if (any_frontier) {
-      matrix.PropagateBatchAdaptive(frontier, next, pool_.get(),
-                                    &iter_used_pull);
+      matrix.PropagateBatchAdaptive(frontier, next, &iter_used_pull);
       std::swap(frontier, next);
       for (size_t s = 0; s < B; ++s) {
         if (!finished[s] && !exhausted[s] && !frontier.LaneHasMass(s)) {
@@ -542,48 +368,37 @@ Result<std::vector<BatchQueryResult>> S3kSearcher::SearchBatchWithPlan(
       const double factor =
           c_gamma * std::pow(gamma, -static_cast<double>(n));
       // Fold deltas over the smaller domain: the sparse union frontier
-      // (serial — a narrow frontier isn't worth a task dispatch), or
-      // the rows that actually feed candidates, sharded by component
-      // slot. Per partial sum the per-slot fold applies contributions
-      // in the same ascending-row order as a global source-row sweep,
-      // so both domains — under any slot schedule — produce
-      // bit-identical sums.
+      // or the rows that feed candidates. Both sweep rows in ascending
+      // order and skip all-zero rows (bitwise inert: the sums only
+      // accumulate non-negative terms), so per partial sum they apply
+      // the same contributions in the same order — bit-identical sums.
       const std::vector<uint32_t>& src_rows = engine.SourceRows();
-      const bool sparse_fold = frontier.nonzero.size() <= src_rows.size();
-      if (sparse_fold) {
-        for (uint32_t row : frontier.nonzero) {
-          const double* v = &frontier.values[static_cast<size_t>(row) * L];
-          bool any = false;
-          for (size_t l = 0; l < L; ++l) {
-            d[l] = factor * v[l];
-            any = any || v[l] != 0.0;
-          }
-          if (any) engine.ApplyDeltaBatch(row, d);
+      const std::vector<uint32_t>& fold_rows =
+          frontier.nonzero.size() <= src_rows.size() ? frontier.nonzero
+                                                     : src_rows;
+      for (uint32_t row : fold_rows) {
+        const double* v = &frontier.values[static_cast<size_t>(row) * L];
+        bool any = false;
+        for (size_t l = 0; l < L; ++l) {
+          d[l] = factor * v[l];
+          any = any || v[l] != 0.0;
         }
+        if (any) engine.ApplyDeltaBatch(row, d);
       }
-      // B1: per-slot fold (dense domain) + discovery scan. Tasks write
-      // disjoint state — slot-local partial sums, slot-local
-      // discovered_now flags and watch lists — and the barrier below
-      // applies activations in canonical order, so the schedule never
-      // shows through.
-      run_slots([&](size_t t) {
-        if (!sparse_fold) {
-          engine.FoldFrontierSlot(static_cast<uint32_t>(t),
-                                  frontier.values.data(), factor);
-        }
+      // Discovery scan, ascending slot order: per lane, slots join the
+      // active list in ascending order.
+      for (size_t t = 0; t < n_slots; ++t) {
         std::vector<uint32_t>& watch = slot_watch[t];
-        if (watch.empty()) return;
         size_t w = 0;
         for (uint32_t row : watch) {
           const double* v = &frontier.values[static_cast<size_t>(row) * L];
           bool keep = false;
           for (size_t s = 0; s < B; ++s) {
-            if (finished[s] || discovered[t * L + s] ||
-                discovered_now[t * L + s]) {
-              continue;
-            }
+            if (finished[s] || discovered[t * L + s]) continue;
             if (v[s] != 0.0) {
-              discovered_now[t * L + s] = 1;
+              discovered[t * L + s] = 1;
+              ++n_discovered[s];
+              engine.ActivateSlot(static_cast<uint32_t>(t), s);
             } else {
               keep = true;
             }
@@ -591,22 +406,6 @@ Result<std::vector<BatchQueryResult>> S3kSearcher::SearchBatchWithPlan(
           if (keep) watch[w++] = row;
         }
         watch.resize(w);
-      });
-      // Activation barrier, canonical slot-major / lane-minor order.
-      // ActivateSlot appends to shared per-lane active lists and the
-      // union list; per lane the append order is ascending slot — the
-      // order the serial slot-major sweep produces — and the union
-      // list's internal order is never observable (bound refresh is a
-      // pure per-candidate map).
-      for (size_t t = 0; t < n_slots; ++t) {
-        for (size_t s = 0; s < B; ++s) {
-          if (!discovered_now[t * L + s]) continue;
-          discovered_now[t * L + s] = 0;
-          discovered[t * L + s] = 1;
-          ++n_discovered[s];
-          engine.ActivateSlot(static_cast<uint32_t>(t), s);
-          slot_any_active[t] = 1;
-        }
       }
     }
 
@@ -617,48 +416,7 @@ Result<std::vector<BatchQueryResult>> S3kSearcher::SearchBatchWithPlan(
       tails[s] = exhausted[s] ? 0.0 : TailBound(gamma, n);
     }
     for (size_t s = B; s < L; ++s) tails[s] = 0.0;
-    if (use_fanout) {
-      // B2: per-slot bound refresh, dominated-candidate clean, and
-      // local order build — disjoint writes per slot (bounds, alive
-      // flags, order buffers). Gating refresh on slot_any_active makes
-      // the refreshed set exactly RefreshBoundsBatch's union list (a
-      // pure per-candidate map, so membership equality is bitwise
-      // equality); the clean keeps each slot's global in-pass pair
-      // order (kills gate later dominance tests).
-      run_slots([&](size_t t) {
-        if (!slot_any_active[t]) return;
-        engine.RefreshBoundsSlot(static_cast<uint32_t>(t), tails.data());
-        for (size_t s = 0; s < B; ++s) {
-          std::vector<uint32_t>& so = slot_orders_[t * B + s];
-          so.clear();
-          if (finished[s]) continue;
-          if (!discovered[t * L + s]) {
-            cleaned_now[t * B + s] = 0;
-            continue;
-          }
-          cleaned_now[t * B + s] = engine.CleanDominatedSlot(
-              static_cast<uint32_t>(t), options_.epsilon, s);
-          for (uint32_t ci = engine.SlotBegin(static_cast<uint32_t>(t));
-               ci < engine.SlotEnd(static_cast<uint32_t>(t)); ++ci) {
-            if (engine.alive(ci, s)) so.push_back(ci);
-          }
-          std::sort(so.begin(), so.end(), [&](uint32_t a, uint32_t b) {
-            if (engine.upper(a, s) != engine.upper(b, s)) {
-              return engine.upper(a, s) > engine.upper(b, s);
-            }
-            return engine.node(a) < engine.node(b);
-          });
-        }
-      });
-      for (size_t s = 0; s < B; ++s) {
-        if (finished[s]) continue;
-        for (size_t t = 0; t < n_slots; ++t) {
-          out[s].stats.candidates_cleaned += cleaned_now[t * B + s];
-        }
-      }
-    } else {
-      engine.RefreshBoundsBatch(tails.data(), pool_.get());
-    }
+    engine.RefreshBoundsBatch(tails.data());
 
     // Threshold per lane: best possible score of any undiscovered
     // document — over the *reachable* undiscovered components only.
@@ -682,13 +440,11 @@ Result<std::vector<BatchQueryResult>> S3kSearcher::SearchBatchWithPlan(
     // CleanCandidatesList per lane: drop candidates dominated by a
     // vertical neighbor (sound forever: lower bounds only grow, uppers
     // only shrink). The engine scans its precomputed neighbor-pair
-    // list. In fan-out mode the per-slot clean already ran inside B2.
-    if (!use_fanout) {
-      for (size_t s = 0; s < B; ++s) {
-        if (finished[s]) continue;
-        out[s].stats.candidates_cleaned +=
-            engine.CleanDominated(options_.epsilon, s);
-      }
+    // list.
+    for (size_t s = 0; s < B; ++s) {
+      if (finished[s]) continue;
+      out[s].stats.candidates_cleaned +=
+          engine.CleanDominated(options_.epsilon, s);
     }
 
     // StopCondition (paper Algorithm 2), per lane. A converged lane
@@ -697,23 +453,19 @@ Result<std::vector<BatchQueryResult>> S3kSearcher::SearchBatchWithPlan(
       if (finished[s]) continue;
       std::vector<uint32_t>& order = orders_[s];
       order.clear();
-      if (use_fanout) {
-        merge_slot_orders(s, order);
-      } else {
-        for (uint32_t ci : engine.ActiveCandidates(s)) {
-          if (engine.alive(ci, s)) order.push_back(ci);
-        }
-        std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-          if (engine.upper(a, s) != engine.upper(b, s)) {
-            return engine.upper(a, s) > engine.upper(b, s);
-          }
-          return engine.node(a) < engine.node(b);
-        });
+      for (uint32_t ci : engine.ActiveCandidates(s)) {
+        if (engine.alive(ci, s)) order.push_back(ci);
       }
+      std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+        if (engine.upper(a, s) != engine.upper(b, s)) {
+          return engine.upper(a, s) > engine.upper(b, s);
+        }
+        return engine.node(a) < engine.node(b);
+      });
       const size_t k_s = ks[s];
       const double threshold = last_threshold[s];
 
-      if (lane_trace[s]) {
+      if (batch[s].trace) {
         // Snapshot this iteration's bound-refinement state for the
         // trace. O(k) reads of already-computed bounds — runs only for
         // the (sampled) traced lane, and never writes engine state, so
@@ -734,7 +486,6 @@ Result<std::vector<BatchQueryResult>> S3kSearcher::SearchBatchWithPlan(
         rec.remaining_upper = std::max(
             threshold, order.size() > tk ? engine.upper(order[tk], s) : 0.0);
         rec.used_pull = iter_used_pull;
-        rec.fanout = use_fanout;
         out[s].stats.iteration_trace.push_back(rec);
       }
 
@@ -789,7 +540,7 @@ Result<std::vector<BatchQueryResult>> S3kSearcher::SearchBatchWithPlan(
       // epsilon slack here: the comparison is what finish_lane's
       // achieved certificate re-derives, keeping certified_epsilon
       // <= eps.
-      if (lane_eps[s] > 0.0 && !order.empty()) {
+      if (batch[s].epsilon_approx > 0.0 && !order.empty()) {
         const size_t want = std::min(k_s, order.size());
         std::vector<uint32_t> picked = engine.GreedyTopK(order, want, s);
         if (picked.size() == want) {
@@ -805,7 +556,7 @@ Result<std::vector<BatchQueryResult>> S3kSearcher::SearchBatchWithPlan(
             }
             if (!taken) rem = std::max(rem, engine.upper(ci, s));
           }
-          if (rem <= (1.0 + lane_eps[s]) * min_lower) {
+          if (rem <= (1.0 + batch[s].epsilon_approx) * min_lower) {
             out[s].stats.converged = true;
             finish_lane(s, picked);
             continue;
@@ -819,14 +570,11 @@ Result<std::vector<BatchQueryResult>> S3kSearcher::SearchBatchWithPlan(
     // stays false, deadline_exceeded marks the truncation — and drops
     // out of the batch; lanes with slack keep iterating. Probed once
     // per iteration: deadlines bound iterations, not instructions.
-    // With every lane on the legacy time_budget_seconds this finishes
-    // exactly the lanes the old global break abandoned, at the same
-    // point, with the same GreedyTopK pick.
     if (any_deadline && live > 0) {
       const double elapsed = timer.ElapsedSeconds();
       for (size_t s = 0; s < B; ++s) {
-        if (finished[s] || lane_deadline[s] <= 0.0 ||
-            elapsed < lane_deadline[s]) {
+        if (finished[s] || batch[s].deadline_seconds <= 0.0 ||
+            elapsed < batch[s].deadline_seconds) {
           continue;
         }
         out[s].stats.deadline_exceeded = true;

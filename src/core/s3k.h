@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/connections.h"
 #include "core/s3_instance.h"
 #include "core/score.h"
@@ -61,10 +60,9 @@ struct QueryOptions {
   // Certified approximation slack (kAnytime only; see QueryMode).
   double epsilon_approx = 0.0;
   // Wall-clock deadline for the *search* (queue wait excluded), in
-  // seconds; 0 inherits the deprecated S3kOptions::time_budget_seconds
-  // (normally: no deadline). An expired search returns the best k
+  // seconds; 0 means no deadline. An expired search returns the best k
   // found so far with SearchStats::deadline_exceeded set — in both
-  // modes, matching the legacy anytime-budget behavior.
+  // modes.
   double deadline_seconds = 0.0;
   QueryMode mode = QueryMode::kExact;
   // Record the engine's per-iteration bound-refinement story into
@@ -109,24 +107,6 @@ struct S3kOptions {
   // Slack for floating-point comparisons in the stop condition; also
   // the de-facto tie-breaking precision (paper §4.2).
   double epsilon = 1e-12;
-  // Worker threads for intra-query parallelism: candidate building,
-  // propagation, bound refresh, and — for fat multi-component plans —
-  // per-component fan-out of the whole iteration body (§5.2 reports a
-  // ~2x speed-up with 8 threads; the component fan-out is what beats
-  // it). 0 means "auto": std::thread::hardware_concurrency(), or the
-  // serving layer's intra_thread_budget when the searcher runs under a
-  // QueryService. The default 1 (serial) can be overridden for a whole
-  // test/bench binary via the S3_TEST_THREADS environment variable
-  // (parsed only when threads is left at 1; results are bit-for-bit
-  // identical at every thread count, so the override is behaviorally
-  // invisible).
-  unsigned threads = 1;
-  // DEPRECATED: use QueryOptions::deadline_seconds. Kept as an alias
-  // so pre-QueryRequest deployments keep their anytime budget: a
-  // request (or batch member) without its own deadline inherits this
-  // value — ResolveLane / the engine's per-lane probe map it over, so
-  // the two spellings cannot diverge. 0 disables the budget.
-  double time_budget_seconds = 0.0;
 };
 
 // The seeker-independent half of query evaluation: semantic extension,
@@ -165,12 +145,11 @@ struct CandidatePlan {
 };
 
 // Builds the candidate plan for a keyword list: extension, passing
-// components and per-component candidate construction. `pool` (may be
-// null) parallelizes candidate building across components. Fails on an
+// components and per-component candidate construction. Fails on an
 // empty or oversized (> 64) keyword list or an unfinalized instance.
 Result<CandidatePlan> BuildCandidatePlan(
     const S3Instance& instance, const std::vector<KeywordId>& keywords,
-    bool use_semantics, double eta, ThreadPool* pool = nullptr);
+    bool use_semantics, double eta);
 
 // One returned answer with its score interval at termination.
 struct ResultEntry {
@@ -208,23 +187,13 @@ struct SearchStats {
   // the bounds support — infinity when nothing is certifiable
   // (kth_lower == 0 with mass still undiscovered).
   double certified_epsilon = 0.0;
-  // The lane's deadline (QueryOptions::deadline_seconds, or the legacy
-  // time_budget_seconds) expired before convergence.
+  // The lane's deadline (QueryOptions::deadline_seconds) expired
+  // before convergence.
   bool deadline_exceeded = false;
-  // Scheduling observability (NOT part of the bit-for-bit result
-  // contract — it reports which schedule ran, which legitimately
-  // differs across thread counts): the per-iteration body was sharded
-  // across component slots (s3k.cc's cost-model verdict). Tests use it
-  // to prove the parallel path was actually exercised.
-  bool used_component_fanout = false;
-  // All candidate documents of passing components (the candidate
-  // universe used by the Fig. 8 quality metrics).
-  std::vector<doc::NodeId> candidate_nodes;
   // Per-iteration bound-refinement records, filled only when the
   // request asked for tracing (QueryOptions::trace / BatchSeeker::
-  // trace); empty — and unallocated — otherwise. Like
-  // used_component_fanout this is scheduling/progress observability,
-  // not part of the bit-for-bit result contract.
+  // trace); empty — and unallocated — otherwise. This is progress
+  // observability, not part of the bit-for-bit result contract.
   std::vector<obs::IterationTraceRecord> iteration_trace;
 };
 
@@ -232,7 +201,7 @@ struct SearchStats {
 // searcher's options().k"; a per-member k lets same-keyword queries
 // with different result sizes share one batch. epsilon_approx and
 // deadline_seconds carry per-member QueryOptions through the lane
-// machinery (0 = exact / inherit the legacy budget), so members with
+// machinery (0 = exact / no deadline), so members with
 // different certificates or deadlines still share one batch — an
 // early-exiting lane drops out exactly like a converged one.
 struct BatchSeeker {
@@ -247,9 +216,7 @@ struct BatchSeeker {
 
 // The effective per-lane parameters of `request` against the serving
 // defaults: k == 0 inherits defaults.k, epsilon_approx applies only in
-// kAnytime mode, and a zero deadline inherits the deprecated
-// defaults.time_budget_seconds (the alias mapping with a single source
-// of truth).
+// kAnytime mode, and a zero deadline means none.
 BatchSeeker ResolveLane(const QueryRequest& request,
                         const S3kOptions& defaults);
 
@@ -262,13 +229,13 @@ struct BatchQueryResult {
 };
 
 // A reusable query worker. One searcher answers one query (or one
-// batch) at a time; it keeps per-worker scratch (the exploration
-// frontiers, the candidate ordering buffers, and the intra-query
-// thread pool) alive across queries so the steady state allocates
-// nothing per query outside the bound engine. Distinct searchers over
-// the same const S3Instance are independent and may run concurrently —
-// the serving layer (server/query_service.h) pools N of them over one
-// shared snapshot.
+// batch) at a time on the calling thread; it keeps per-worker scratch
+// (the exploration frontiers and the candidate ordering buffers) alive
+// across queries so the steady state allocates nothing per query
+// outside the bound engine. Distinct searchers over the same const
+// S3Instance are independent and may run concurrently — the serving
+// layer (server/query_service.h) pools N of them over one shared
+// snapshot, one query per worker thread.
 class S3kSearcher {
  public:
   // Batch-width cap for SearchBatchWithPlan (lane-padded widths must
@@ -313,38 +280,15 @@ class S3kSearcher {
 
   const S3kOptions& options() const { return options_; }
 
-  // The searcher's intra-query thread pool (null when threads <= 1).
-  // Exposed so the serving layer can reuse it for cache-miss plan
-  // builds instead of building plans single-threaded.
-  ThreadPool* intra_pool() const { return pool_.get(); }
-
-  // Caps the effective intra-query concurrency (caller + pool helpers)
-  // of subsequent searches without resizing the pool; 0 removes the
-  // cap. The serving layer calls this per dequeued query to divide the
-  // machine's thread budget among currently-busy workers — a solo
-  // query on an idle service gets the whole pool. Must not be called
-  // while this searcher is mid-search (one searcher runs one query at
-  // a time). Results are unaffected (bit-for-bit at every limit).
-  void set_thread_limit(unsigned limit) { thread_limit_ = limit; }
-  unsigned thread_limit() const { return thread_limit_; }
-
  private:
   const S3Instance& instance_;
   S3kOptions options_;
-  // Persistent worker pool for intra-query parallelism (created in the
-  // constructor when threads > 1, so Search never mutates structure).
-  std::unique_ptr<ThreadPool> pool_;
   // Per-worker scratch reused across queries (reset at query start).
   // The single-seeker path runs through the same lane-batched
   // frontiers at lane count 1.
   social::BatchFrontier frontier_, next_;
   // Per-lane active candidates by upper desc.
   std::vector<std::vector<uint32_t>> orders_;
-  // Per-(slot, lane) sorted partial orders the component fan-out merges
-  // at the iteration barrier (indexed [slot * batch_size + lane]).
-  std::vector<std::vector<uint32_t>> slot_orders_;
-  // Effective-concurrency cap (see set_thread_limit; 0 = uncapped).
-  unsigned thread_limit_ = 0;
 };
 
 }  // namespace s3::core

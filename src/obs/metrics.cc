@@ -412,59 +412,6 @@ std::string MetricRegistry::RenderJson() const {
   return out;
 }
 
-// ---- process-wide thread-pool accounting ---------------------------------
-
-namespace {
-std::atomic<int64_t> g_pools{0};
-std::atomic<int64_t> g_pool_threads{0};
-std::atomic<uint64_t> g_pool_regions{0};
-}  // namespace
-
-void NotePoolCreated(unsigned threads) {
-  g_pools.fetch_add(1, std::memory_order_relaxed);
-  g_pool_threads.fetch_add(threads, std::memory_order_relaxed);
-}
-
-void NotePoolDestroyed(unsigned threads) {
-  g_pools.fetch_sub(1, std::memory_order_relaxed);
-  g_pool_threads.fetch_sub(threads, std::memory_order_relaxed);
-}
-
-void NotePoolRegion(size_t) {
-  g_pool_regions.fetch_add(1, std::memory_order_relaxed);
-}
-
-void RegisterProcessMetrics(MetricRegistry* registry) {
-  if (registry == nullptr) registry = &MetricRegistry::Default();
-  // Callbacks over process-wide statics never dangle, so no
-  // CallbackSet; guard against double registration on the default
-  // registry (multiple services may each call this).
-  static std::mutex mu;
-  static std::vector<MetricRegistry*> done;
-  std::lock_guard<std::mutex> lock(mu);
-  if (std::find(done.begin(), done.end(), registry) != done.end()) return;
-  done.push_back(registry);
-  registry->AddCallback(
-      "s3_threadpool_pools", "Thread pools currently alive in the process.",
-      MetricKind::kGauge, {}, [] {
-        return static_cast<double>(g_pools.load(std::memory_order_relaxed));
-      });
-  registry->AddCallback(
-      "s3_threadpool_threads",
-      "Worker threads owned by live thread pools (helpers included).",
-      MetricKind::kGauge, {}, [] {
-        return static_cast<double>(
-            g_pool_threads.load(std::memory_order_relaxed));
-      });
-  registry->AddCallback(
-      "s3_threadpool_regions_total",
-      "ParallelFor regions executed across all pools since process start.",
-      MetricKind::kCounter, {}, [] {
-        return static_cast<double>(
-            g_pool_regions.load(std::memory_order_relaxed));
-      });
-}
-
 }  // namespace s3::obs
 
 #endif  // S3_OBS_DISABLED

@@ -1,8 +1,8 @@
 // Process-wide metric registry: named, labeled Counter / Gauge /
 // Histogram families with two renderers (Prometheus text exposition
 // and JSON) — the one source of operational truth the serving layers
-// (QueryService, SnapshotManager, ShardRouter, ProximityCache,
-// ThreadPool) publish into.
+// (QueryService, SnapshotManager, ShardRouter, ProximityCache) publish
+// into.
 //
 // Design constraints, in order:
 //   * Hot-path writes must be effectively free. Counter is sharded
@@ -258,18 +258,6 @@ class CallbackSet {
   std::vector<uint64_t> ids_;
 };
 
-// ---- process-wide thread-pool accounting ---------------------------------
-// common/thread_pool.h calls these (header-only, so the hooks must be
-// free functions); RegisterProcessMetrics exposes the totals.
-void NotePoolCreated(unsigned threads);
-void NotePoolDestroyed(unsigned threads);
-void NotePoolRegion(size_t items);
-
-// Registers the process-level families (thread-pool totals) on
-// `registry` (nullptr → Default()). Idempotent per registry for the
-// Default case; callers with private registries call it once.
-void RegisterProcessMetrics(MetricRegistry* registry = nullptr);
-
 #else  // S3_OBS_DISABLED -----------------------------------------------------
 
 inline constexpr bool kEnabled = false;
@@ -366,11 +354,6 @@ class CallbackSet {
  private:
   MetricRegistry* registry_ = nullptr;
 };
-
-inline void NotePoolCreated(unsigned) {}
-inline void NotePoolDestroyed(unsigned) {}
-inline void NotePoolRegion(size_t) {}
-inline void RegisterProcessMetrics(MetricRegistry* = nullptr) {}
 
 #endif  // S3_OBS_DISABLED
 

@@ -44,7 +44,6 @@ struct IterationTraceRecord {
   double kth_lower = 0.0;        // k-th best certified lower bound
   double remaining_upper = 0.0;  // best upper bound among undecided
   bool used_pull = false;        // propagation ran in pull (dense) mode
-  bool fanout = false;           // component fan-out active this pass
 };
 
 // One timed phase of a query. Spans form a tree by depth: depth-0

@@ -64,7 +64,6 @@
 #include "common/stats.h"
 #include "common/status.h"
 #include "common/str_util.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 
 #endif  // S3_S3_S3_H_

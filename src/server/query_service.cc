@@ -32,11 +32,6 @@ QueryService::QueryService(std::shared_ptr<const core::S3Instance> snapshot,
       queue_(options.queue_capacity),
       tracer_(options.trace) {
   if (options_.workers < 1) options_.workers = 1;
-  intra_budget_ = options_.intra_thread_budget;
-  if (intra_budget_ == 0) {  // auto
-    intra_budget_ = std::thread::hardware_concurrency();
-    if (intra_budget_ == 0) intra_budget_ = 1;
-  }
   if (options_.enable_cache) {
     cache_ = std::make_unique<ProximityCache>(
         options_.cache_shards, options_.cache_capacity_per_shard);
@@ -56,7 +51,6 @@ void QueryService::RegisterMetrics() {
   obs::MetricRegistry* reg = options_.registry != nullptr
                                  ? options_.registry
                                  : &obs::MetricRegistry::Default();
-  obs::RegisterProcessMetrics(reg);
   callbacks_.Attach(reg);
   const obs::Labels svc{{"service", options_.obs_label}};
   h_queue_wait_ = reg->GetHistogram(
@@ -297,13 +291,13 @@ void QueryService::RecordOutcome(const core::QueryRequest& query,
 
 Result<std::shared_ptr<const core::CandidatePlan>> QueryService::ResolvePlan(
     const core::S3Instance& snapshot, const core::QueryRequest& query,
-    ThreadPool* pool, bool* cache_hit) {
+    bool* cache_hit) {
   *cache_hit = false;
   const bool use_semantics = options_.search.use_semantics;
   const double eta = options_.search.score.eta;
   if (cache_ == nullptr) {
     auto built = core::BuildCandidatePlan(snapshot, query.keywords,
-                                          use_semantics, eta, pool);
+                                          use_semantics, eta);
     if (!built.ok()) return built.status();
     return std::make_shared<const core::CandidatePlan>(std::move(*built));
   }
@@ -319,7 +313,7 @@ Result<std::shared_ptr<const core::CandidatePlan>> QueryService::ResolvePlan(
   // the same key may build twice; last insert wins and both plans are
   // equivalent, so no cross-worker build lock is needed.
   auto built = core::BuildCandidatePlan(snapshot, key.keywords,
-                                        use_semantics, eta, pool);
+                                        use_semantics, eta);
   if (!built.ok()) return built.status();
   auto plan =
       std::make_shared<const core::CandidatePlan>(std::move(*built));
@@ -334,19 +328,11 @@ void QueryService::WorkerLoop(unsigned worker_index) {
   // shared_ptr keeps its generation alive until it rebinds.
   std::shared_ptr<const core::S3Instance> bound;
   std::optional<core::S3kSearcher> searcher;
-  // Each worker's searcher resolves `threads = 0` to the service-wide
-  // intra-query budget; the per-query thread *limit* below then divides
-  // that budget among the workers actually busy right now.
-  core::S3kOptions search_opts = options_.search;
-  if (search_opts.threads == 0) search_opts.threads = intra_budget_;
 
   while (auto popped = queue_.Pop()) {
     // Busy-worker accounting brackets the whole task (the guard
-    // decrements on every exit path, error continues included): the
-    // instantaneous busy count is the divisor of each query's share of
-    // the machine's thread budget.
-    const unsigned busy =
-        busy_workers_.fetch_add(1, std::memory_order_relaxed) + 1;
+    // decrements on every exit path, error continues included).
+    busy_workers_.fetch_add(1, std::memory_order_relaxed);
     struct BusyGuard {
       std::atomic<unsigned>& counter;
       std::atomic<double>& busy_seconds;
@@ -380,17 +366,11 @@ void QueryService::WorkerLoop(unsigned worker_index) {
     if (current != bound) {
       searcher.reset();
       bound = std::move(current);
-      searcher.emplace(*bound, search_opts);
+      searcher.emplace(*bound, options_.search);
     }
     response.generation = bound->generation();
-    // This query's share of the intra-query thread budget. An idle
-    // service hands a solo query the whole budget; a loaded one clamps
-    // every query toward 1 (results are bit-for-bit identical at any
-    // limit, so the clamp is purely a scheduling decision).
-    searcher->set_thread_limit(std::max(1u, intra_budget_ / busy));
 
-    auto plan = ResolvePlan(*bound, task.query, searcher->intra_pool(),
-                            &response.cache_hit);
+    auto plan = ResolvePlan(*bound, task.query, &response.cache_hit);
     if (!plan.ok()) {
       failed_.fetch_add(1, std::memory_order_release);
       task.promise.set_value(plan.status());

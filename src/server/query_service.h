@@ -6,8 +6,8 @@
 //     alive),
 //   * a pool of N worker threads, each with its own long-lived
 //     S3kSearcher (per-worker scratch: exploration frontiers, ordering
-//     buffer, intra-query thread pool — nothing per query beyond the
-//     bound engine),
+//     buffer — nothing per query beyond the bound engine); a query
+//     runs start to finish on the worker that dequeued it,
 //   * a bounded MPMC admission queue (common/bounded_queue.h), and
 //   * a sharded, generation-tagged LRU proximity/candidate cache
 //     (server/proximity_cache.h) shared by all workers.
@@ -66,20 +66,8 @@ struct QueryServiceOptions {
   unsigned workers = 4;
   // Admission-queue capacity; Submit refuses beyond this (load shed).
   size_t queue_capacity = 256;
-  // Per-worker searcher configuration. `search.threads` is the
-  // *intra*-query parallelism of one worker — with many workers the
-  // default of 1 avoids oversubscription; `search.threads = 0` means
-  // "auto": size each worker's pool to intra_thread_budget.
+  // Per-worker searcher configuration.
   core::S3kOptions search;
-  // Machine-wide intra-query thread budget shared by the busy workers:
-  // each dequeued query runs with an effective concurrency of
-  // max(1, budget / busy_workers), enforced through the searcher's
-  // thread limit — so N workers × M intra-query threads can't
-  // oversubscribe the machine, while a solo fat query on an idle
-  // service gets the whole budget (= the whole pool when
-  // search.threads = 0). 0 means "auto":
-  // std::thread::hardware_concurrency().
-  unsigned intra_thread_budget = 0;
   // Proximity/candidate cache; disable for ablation.
   bool enable_cache = true;
   size_t cache_shards = 8;
@@ -278,12 +266,10 @@ class QueryService {
 
   // Resolves the candidate plan for a query against `snapshot` through
   // the cache (or builds it uncached); the cache key carries the
-  // snapshot's generation. Sets `cache_hit`. `pool` (may be null) is
-  // the calling worker's intra-query pool, reused for cache-miss
-  // builds.
+  // snapshot's generation. Sets `cache_hit`.
   Result<std::shared_ptr<const core::CandidatePlan>> ResolvePlan(
       const core::S3Instance& snapshot, const core::QueryRequest& query,
-      ThreadPool* pool, bool* cache_hit);
+      bool* cache_hit);
 
   // Guards snapshot_ replacement; workers copy the pointer out once
   // per dequeued query.
@@ -293,10 +279,7 @@ class QueryService {
   BoundedQueue<Task> queue_;
   std::unique_ptr<ProximityCache> cache_;
   std::vector<std::thread> workers_;
-  // Resolved intra_thread_budget (0 replaced by hardware concurrency).
-  unsigned intra_budget_ = 1;
-  // Workers currently executing a query (not blocked on Pop): the
-  // divisor of the per-query thread-budget share.
+  // Workers currently executing a query (not blocked on Pop).
   std::atomic<unsigned> busy_workers_{0};
   std::atomic<bool> shutdown_{false};
   eval::LatencyRecorder latency_;

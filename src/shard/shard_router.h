@@ -98,8 +98,8 @@ struct ShardedResponse {
   // Always 1 and shard_count() - 1: the shards asked and not asked.
   size_t shards_queried = 0;
   size_t shards_pruned = 0;
-  // Search stats of the home shard (global nodes in candidate_nodes
-  // are NOT remapped; sizes/counters only).
+  // Search stats of the home shard: counters and bound exports, with
+  // no node ids to remap.
   core::SearchStats stats;
   bool cache_hit = false;  // home shard's plan-cache outcome
   // The home shard's certificate (SearchStats::kth_lower,

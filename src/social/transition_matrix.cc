@@ -1,7 +1,6 @@
 #include "social/transition_matrix.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <unordered_map>
 
@@ -394,51 +393,18 @@ void TransitionMatrix::PropagateBatchPush(const BatchFrontier& in,
 }
 
 void TransitionMatrix::PropagateBatchPull(const BatchFrontier& in,
-                                          BatchFrontier& out,
-                                          ThreadPool* pool) const {
-  const size_t L = in.lanes;
+                                          BatchFrontier& out) const {
   out.Clear();
   // The kernel lists nonzero rows in place: room for every row.
   out.nonzero.resize(rows());
-  const pk::SlicedView view = sliced_.view();
-  const size_t n_windows = sliced_.window.size() - 1;
-  if (pool == nullptr) {
-    out.nonzero.resize(PullWindowsD(L, view, 0, n_windows, in.values.data(),
-                                    out.values.data(), out.nonzero.data(),
-                                    out.lane_mass.data()));
-    return;
-  }
-  // Chunks are contiguous ascending window ranges: no two write the
-  // same row, and each lists its rows at its first row's offset, so
-  // sliding the lists down in chunk order keeps `nonzero` sorted.
-  const size_t n_chunks = (pool->WorkerCount() + 1) * 4;
-  const size_t chunk = (n_windows + n_chunks - 1) / n_chunks;
-  auto first_window = [&](size_t c) { return std::min(n_windows, c * chunk); };
-  auto listing = [&](size_t c) {
-    return out.nonzero.data() +
-           std::min(rows(), first_window(c) * pk::kSortWindow);
-  };
-  std::vector<size_t> listed(n_chunks);
-  std::vector<std::array<uint8_t, kMaxFrontierLanes>> mass_per_chunk(
-      n_chunks);
-  pool->ParallelFor(n_chunks, [&](size_t c) {
-    mass_per_chunk[c].fill(0);
-    listed[c] = PullWindowsD(L, view, first_window(c), first_window(c + 1),
-                             in.values.data(), out.values.data(), listing(c),
-                             mass_per_chunk[c].data());
-  });
-  size_t n = 0;
-  for (size_t c = 0; c < n_chunks; ++c) {
-    std::copy(listing(c), listing(c) + listed[c], out.nonzero.data() + n);
-    n += listed[c];
-    for (size_t l = 0; l < L; ++l) out.lane_mass[l] |= mass_per_chunk[c][l];
-  }
-  out.nonzero.resize(n);
+  out.nonzero.resize(PullWindowsD(in.lanes, sliced_.view(), 0,
+                                  sliced_.window.size() - 1, in.values.data(),
+                                  out.values.data(), out.nonzero.data(),
+                                  out.lane_mass.data()));
 }
 
 void TransitionMatrix::PropagateBatchAdaptive(const BatchFrontier& in,
                                               BatchFrontier& out,
-                                              ThreadPool* pool,
                                               bool* used_pull) const {
   // The verdict is measured on the union support and may differ from
   // what any single lane would have chosen alone — harmless, because
@@ -453,7 +419,7 @@ void TransitionMatrix::PropagateBatchAdaptive(const BatchFrontier& in,
   const bool dense = touched >= touched_cut;
   if (used_pull != nullptr) *used_pull = dense;
   if (dense) {
-    PropagateBatchPull(in, out, pool);
+    PropagateBatchPull(in, out);
   } else {
     PropagateBatchPush(in, out);
   }

@@ -25,7 +25,6 @@
 
 #include "common/status.h"
 #include "common/storage_span.h"
-#include "common/thread_pool.h"
 #include "doc/document_store.h"
 #include "social/edge_store.h"
 #include "social/entity.h"
@@ -161,8 +160,7 @@ class TransitionMatrix {
   // measures the union frontier's density — the CSR entries a push
   // step would touch — against the size of the sliced transpose and
   // runs the cheaper side: a push (PropagateBatchPush) or a full pull
-  // sweep (PropagateBatchPull, over slice ranges on `pool` when
-  // non-null). Each lane's values are bit-for-bit what a single-seeker
+  // sweep (PropagateBatchPull). Each lane's values are bit-for-bit what a single-seeker
   // push chain (Propagate) would produce for that lane alone: the lane
   // dimension is element-wise, and push and pull both accumulate per
   // output row in ascending source-row order. `in.nonzero` must be
@@ -171,17 +169,14 @@ class TransitionMatrix {
   // survival. `used_pull`, when non-null, reports which side ran
   // (observability only).
   void PropagateBatchAdaptive(const BatchFrontier& in, BatchFrontier& out,
-                              ThreadPool* pool,
                               bool* used_pull = nullptr) const;
 
   // The two halves of PropagateBatchAdaptive, with the same contract;
   // public so tests and benches can pin each side. Push scatters the
   // CSR rows of `in.nonzero` (one kernel call per sweep); pull gathers
-  // every row through the sliced transpose (one kernel call per sweep,
-  // or per σ-aligned slice range on `pool`).
+  // every row through the sliced transpose (one kernel call per sweep).
   void PropagateBatchPush(const BatchFrontier& in, BatchFrontier& out) const;
-  void PropagateBatchPull(const BatchFrontier& in, BatchFrontier& out,
-                          ThreadPool* pool) const;
+  void PropagateBatchPull(const BatchFrontier& in, BatchFrontier& out) const;
 
   // Normalization denominator D(n) for the row of entity `n` (0 if the
   // neighborhood has no outgoing edge).

@@ -12,8 +12,7 @@
 //       its true score, and remaining_upper <= (1+achieved)·kth_lower;
 //   (c) the achieved certificate never exceeds the requested ε (modulo
 //       one ulp of the exit-condition division — tolerance 1e-9).
-// Plus the deprecated-alias mapping (S3kOptions::time_budget_seconds
-// == QueryOptions::deadline_seconds) and the post-search bound-export
+// Plus ResolveLane's defaults mapping and the post-search bound-export
 // pin for the shard plan cache.
 #include <gtest/gtest.h>
 
@@ -191,18 +190,16 @@ TEST(QueryOptionsTest, ValidateAcceptsAndRejects) {
   EXPECT_FALSE(bad.Validate().ok());
 }
 
-TEST(QueryOptionsTest, ResolveLaneMapsDefaultsAndDeadlineAlias) {
+TEST(QueryOptionsTest, ResolveLaneMapsDefaults) {
   S3kOptions defaults = TestOptions();
   defaults.k = 9;
-  defaults.time_budget_seconds = 0.125;  // deprecated alias
 
-  // All-inherit exact request: service k, legacy budget as deadline,
-  // no epsilon.
+  // All-inherit exact request: service k, no deadline, no epsilon.
   BatchSeeker lane = core::ResolveLane(QueryRequest(Query{3, {}}), defaults);
   EXPECT_EQ(lane.seeker, 3u);
   EXPECT_EQ(lane.k, 9u);
   EXPECT_EQ(lane.epsilon_approx, 0.0);
-  EXPECT_EQ(lane.deadline_seconds, 0.125);
+  EXPECT_EQ(lane.deadline_seconds, 0.0);
 
   // Per-request values override every default.
   QueryOptions o;
@@ -220,54 +217,6 @@ TEST(QueryOptionsTest, ResolveLaneMapsDefaultsAndDeadlineAlias) {
   o.epsilon_approx = 0.0;
   lane = core::ResolveLane(QueryRequest(4, {}, o), defaults);
   EXPECT_EQ(lane.epsilon_approx, 0.0);
-}
-
-// The legacy time_budget_seconds run and the per-request
-// deadline_seconds run must be the same search, instruction for
-// instruction.
-TEST(QueryOptionsTest, LegacyTimeBudgetIsDeadlineAlias) {
-  testing::RandomInstanceParams p;
-  p.seed = 31;
-  p.n_users = 8;
-  p.n_docs = 12;
-  auto ri = testing::BuildRandomInstance(p);
-
-  // Find a query the exact engine needs >= 2 iterations for, so a
-  // microscopic budget provably truncates it.
-  S3kOptions exact_opts = TestOptions();
-  S3kSearcher probe(*ri.instance, exact_opts);
-  Query q;
-  bool found = false;
-  for (social::UserId u = 0; u < 8 && !found; ++u) {
-    for (size_t kw = 0; kw + 1 < ri.keywords.size() && !found; ++kw) {
-      Query cand{u, {ri.keywords[kw], ri.keywords[kw + 1]}};
-      SearchStats st;
-      auto r = probe.Search(cand, &st);
-      if (r.ok() && st.iterations >= 2 && !r->empty()) {
-        q = cand;
-        found = true;
-      }
-    }
-  }
-  ASSERT_TRUE(found) << "fixture too easy: every query converges in 1 iter";
-
-  S3kOptions legacy = exact_opts;
-  legacy.time_budget_seconds = 1e-12;
-  S3kSearcher legacy_searcher(*ri.instance, legacy);
-  SearchStats legacy_stats;
-  auto legacy_res = legacy_searcher.Search(q, &legacy_stats);
-  ASSERT_TRUE(legacy_res.ok()) << legacy_res.status().ToString();
-  EXPECT_TRUE(legacy_stats.deadline_exceeded);
-  EXPECT_FALSE(legacy_stats.converged);
-
-  S3kSearcher plain(*ri.instance, exact_opts);
-  QueryOptions o;
-  o.deadline_seconds = 1e-12;
-  SearchStats req_stats;
-  auto req_res = plain.Search(QueryRequest(q.seeker, q.keywords, o), &req_stats);
-  ASSERT_TRUE(req_res.ok()) << req_res.status().ToString();
-  ExpectBitIdentical(*req_res, req_stats, *legacy_res, legacy_stats,
-                     "deadline == legacy time budget");
 }
 
 // ---- core engine sweep (satellite 3, {batched} leg included) -------------

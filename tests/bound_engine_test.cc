@@ -90,7 +90,7 @@ size_t CheckIncrementalAgainstScratch(const S3Instance& inst,
   frontier.Set(seeker_row, 0, 1.0);
 
   for (size_t n = 1; n <= iters; ++n) {
-    inst.matrix().PropagateBatchAdaptive(frontier, next, nullptr);
+    inst.matrix().PropagateBatchAdaptive(frontier, next);
     std::swap(frontier, next);
     if (frontier.nonzero.empty()) break;
     const double factor = c_gamma * std::pow(gamma, -double(n));
@@ -207,7 +207,7 @@ TEST(PropagateBatchAdaptiveTest, OneLaneMatchesPushPropagation) {
   bool saw_push = false, saw_pull = false;
   for (size_t step = 0; step < 6; ++step) {
     bool used_pull = false;
-    m.PropagateBatchAdaptive(fa, ga, nullptr, &used_pull);
+    m.PropagateBatchAdaptive(fa, ga, &used_pull);
     (used_pull ? saw_pull : saw_push) = true;
     std::swap(fa, ga);
     m.Propagate(fp, gp);

@@ -288,12 +288,17 @@ TEST(MidFragmentCommentTest, CommentOnInnerNodePropagatesUpOnly) {
   auto r = searcher.Search(Query{u, {kw}}, &st);
   ASSERT_TRUE(r.ok());
   // Candidates: comment root, a, d0 root — but not `other` or `b`.
-  for (doc::NodeId n : st.candidate_nodes) {
+  auto plan = BuildCandidatePlan(inst, {kw}, opts.use_semantics,
+                                 opts.score.eta);
+  ASSERT_TRUE(plan.ok());
+  const std::vector<doc::NodeId> nodes = s3::testing::CandidateNodes(*plan);
+  EXPECT_EQ(nodes.size(), st.candidates_total);
+  for (doc::NodeId n : nodes) {
     EXPECT_NE(n, other_node);
     EXPECT_NE(n, inst.docs().GlobalId(d0, b));
   }
   bool has_a = false;
-  for (doc::NodeId n : st.candidate_nodes) {
+  for (doc::NodeId n : nodes) {
     if (n == a_node) has_a = true;
   }
   EXPECT_TRUE(has_a);

@@ -1,14 +1,7 @@
 // Tests for the extensibility features: RDF-imported social edges
-// (paper §2.2), time-budget anytime termination (§4.1), and the
-// thread pool.
+// (paper §2.2) and deadline-bounded anytime termination (§4.1).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdint>
-#include <stdexcept>
-#include <string>
-
-#include "common/thread_pool.h"
 #include "core/s3_instance.h"
 #include "core/s3k.h"
 #include "test_fixtures.h"
@@ -107,17 +100,18 @@ TEST_F(RdfSocialTest, ImportedEdgeAffectsSearch) {
   EXPECT_GT((*result)[0].lower, 0.0);
 }
 
-// ---- Time budget ---------------------------------------------------------------
+// ---- Deadline ---------------------------------------------------------------
 
 TEST(TimeBudgetTest, TinyBudgetStillReturns) {
   auto fig = testing::BuildFigure1();
   core::S3kOptions opts;
   opts.k = 3;
-  opts.time_budget_seconds = 1e-9;  // expire after the first iteration
   core::S3kSearcher searcher(*fig.instance, opts);
+  core::QueryOptions qopts;
+  qopts.deadline_seconds = 1e-9;  // expire after the first iteration
   core::SearchStats st;
   auto result = searcher.Search(
-      core::Query{fig.u1, {fig.kw_university}}, &st);
+      core::QueryRequest(fig.u1, {fig.kw_university}, qopts), &st);
   ASSERT_TRUE(result.ok());
   EXPECT_LE(st.iterations, 2u);
 }
@@ -126,107 +120,14 @@ TEST(TimeBudgetTest, GenerousBudgetConverges) {
   auto fig = testing::BuildFigure1();
   core::S3kOptions opts;
   opts.k = 3;
-  opts.time_budget_seconds = 30.0;
   core::S3kSearcher searcher(*fig.instance, opts);
+  core::QueryOptions qopts;
+  qopts.deadline_seconds = 30.0;
   core::SearchStats st;
   auto result = searcher.Search(
-      core::Query{fig.u1, {fig.kw_university}}, &st);
+      core::QueryRequest(fig.u1, {fig.kw_university}, qopts), &st);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(st.converged);
-}
-
-// ---- ThreadPool ---------------------------------------------------------------
-
-TEST(ThreadPoolTest, RunsAllIterations) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelFor(1000, [&](size_t i) { hits[i]++; });
-  for (const auto& h : hits) {
-    EXPECT_EQ(h.load(), 1);
-  }
-}
-
-TEST(ThreadPoolTest, ReusableAcrossCalls) {
-  ThreadPool pool(2);
-  std::atomic<int> total{0};
-  for (int round = 0; round < 50; ++round) {
-    pool.ParallelFor(10, [&](size_t) { total++; });
-  }
-  EXPECT_EQ(total.load(), 500);
-}
-
-TEST(ThreadPoolTest, ZeroIterationsIsNoop) {
-  ThreadPool pool(2);
-  bool touched = false;
-  pool.ParallelFor(0, [&](size_t) { touched = true; });
-  EXPECT_FALSE(touched);
-}
-
-TEST(ThreadPoolTest, SingleWorkerFloor) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.WorkerCount(), 1u);
-  std::atomic<int> n{0};
-  pool.ParallelFor(7, [&](size_t) { n++; });
-  EXPECT_EQ(n.load(), 7);
-}
-
-TEST(ThreadPoolTest, ConcurrentSum) {
-  ThreadPool pool(4);
-  std::atomic<int64_t> sum{0};
-  const size_t n = 10000;
-  pool.ParallelFor(n, [&](size_t i) { sum += static_cast<int64_t>(i); });
-  EXPECT_EQ(sum.load(), static_cast<int64_t>(n * (n - 1) / 2));
-}
-
-TEST(ThreadPoolTest, ExceptionPropagatesToCaller) {
-  ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.ParallelFor(1000,
-                       [&](size_t i) {
-                         if (i == 137) throw std::runtime_error("boom");
-                       }),
-      std::runtime_error);
-}
-
-TEST(ThreadPoolTest, ExceptionDrainsAndPoolStaysUsable) {
-  ThreadPool pool(4);
-  // Every iteration throws: exactly one exception must surface, the
-  // rest are swallowed, and the pool must be reusable afterwards.
-  for (int round = 0; round < 5; ++round) {
-    try {
-      pool.ParallelFor(100, [&](size_t i) {
-        throw std::invalid_argument("iter " + std::to_string(i));
-      });
-      FAIL() << "ParallelFor should have rethrown";
-    } catch (const std::invalid_argument&) {
-    }
-    std::atomic<int> ok{0};
-    pool.ParallelFor(64, [&](size_t) { ok++; });
-    EXPECT_EQ(ok.load(), 64);
-  }
-}
-
-TEST(ThreadPoolTest, HelperLimitCapsConcurrencyButRunsEverything) {
-  ThreadPool pool(7);
-  pool.SetHelperLimit(1);  // caller + at most one helper
-  std::atomic<int> live{0};
-  std::atomic<int> peak{0};
-  std::atomic<int> done{0};
-  pool.ParallelFor(500, [&](size_t) {
-    int now = ++live;
-    int prev = peak.load();
-    while (now > prev && !peak.compare_exchange_weak(prev, now)) {
-    }
-    done++;
-    --live;
-  });
-  EXPECT_EQ(done.load(), 500);
-  EXPECT_LE(peak.load(), 2);
-  // Lifting the limit restores full fan-out on the same pool.
-  pool.SetHelperLimit(SIZE_MAX);
-  done = 0;
-  pool.ParallelFor(500, [&](size_t) { done++; });
-  EXPECT_EQ(done.load(), 500);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "baseline/topks.h"
 #include "core/s3k.h"
 #include "eval/metrics.h"
+#include "test_fixtures.h"
 #include "workload/business_gen.h"
 #include "workload/microblog_gen.h"
 #include "workload/query_gen.h"
@@ -144,8 +145,12 @@ TEST_F(PipelineTest, TopkSComparisonAndMetrics) {
     EXPECT_LE(inter, 1.0);
 
     // Graph reachability ingredients.
+    auto plan = core::BuildCandidatePlan(*gen_.instance, q.keywords,
+                                         s3k_opts.use_semantics,
+                                         s3k_opts.score.eta);
+    ASSERT_TRUE(plan.ok());
     std::vector<uint64_t> candidate_items, examined;
-    for (doc::NodeId n : st.candidate_nodes) {
+    for (doc::NodeId n : s3::testing::CandidateNodes(*plan)) {
       baseline::ItemId item = flat.ItemOfNode(*gen_.instance, n);
       if (item != baseline::kInvalidItem) candidate_items.push_back(item);
     }
@@ -154,29 +159,6 @@ TEST_F(PipelineTest, TopkSComparisonAndMetrics) {
         eval::UnreachableFraction(candidate_items, examined);
     EXPECT_GE(unreachable, 0.0);
     EXPECT_LE(unreachable, 1.0);
-  }
-}
-
-TEST_F(PipelineTest, ThreadedEqualsSequentialOnWorkload) {
-  workload::WorkloadSpec spec;
-  spec.n_keywords = 1;
-  spec.k = 5;
-  spec.n_queries = 10;
-  auto qs = workload::BuildWorkload(*gen_.instance, gen_.semantic_anchors,
-                                    spec);
-  core::S3kOptions seq;
-  seq.k = 5;
-  core::S3kOptions par = seq;
-  par.threads = 4;
-  for (const auto& q : qs.queries) {
-    auto a = core::S3kSearcher(*gen_.instance, seq).Search(q);
-    auto b = core::S3kSearcher(*gen_.instance, par).Search(q);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ASSERT_EQ(a->size(), b->size());
-    for (size_t i = 0; i < a->size(); ++i) {
-      EXPECT_EQ((*a)[i].node, (*b)[i].node);
-    }
   }
 }
 

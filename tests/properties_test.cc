@@ -49,32 +49,6 @@ TEST_P(RandomInstanceSweep, MatrixRowsSubStochastic) {
   }
 }
 
-TEST_P(RandomInstanceSweep, PooledBatchPropagateMatchesSerial) {
-  // One lane through the adaptive step on a pool (the pooled pull on
-  // dense steps) against the serial single-seeker push, bit for bit.
-  const auto& m = ri_.instance->matrix();
-  ThreadPool pool(3);
-  social::BatchFrontier in, out;
-  social::Frontier ref_in, ref_out;
-  in.Init(m.rows(), 1);
-  out.Init(m.rows(), 1);
-  ref_in.Init(m.rows());
-  ref_out.Init(m.rows());
-  in.Set(ri_.instance->RowOfUser(0), 0, 1.0);
-  ref_in.Set(ri_.instance->RowOfUser(0), 1.0);
-  for (int step = 0; step < 5; ++step) {
-    m.PropagateBatchAdaptive(in, out, &pool);
-    m.Propagate(ref_in, ref_out);
-    // Ascending source order on the next step, as the batched step.
-    std::sort(ref_out.nonzero.begin(), ref_out.nonzero.end());
-    ASSERT_EQ(0, std::memcmp(out.values.data(), ref_out.values.data(),
-                             m.rows() * sizeof(double)))
-        << "step " << step;
-    std::swap(in, out);
-    std::swap(ref_in, ref_out);
-  }
-}
-
 TEST_P(RandomInstanceSweep, ProxMonotoneAndBounded) {
   const double gamma = GetParam().gamma;
   std::vector<double> prev(ri_.instance->layout().total(), 0.0);
@@ -189,7 +163,12 @@ TEST_P(RandomInstanceSweep, CandidateUniverseRespectsComponents) {
   for (KeywordId k : ri_.instance->ExtendKeyword(q.keywords[0])) {
     accepted.insert(k);
   }
-  for (doc::NodeId n : st.candidate_nodes) {
+  auto plan = BuildCandidatePlan(*ri_.instance, q.keywords,
+                                opts.use_semantics, opts.score.eta);
+  ASSERT_TRUE(plan.ok());
+  const std::vector<doc::NodeId> nodes = s3::testing::CandidateNodes(*plan);
+  EXPECT_EQ(nodes.size(), st.candidates_total);
+  for (doc::NodeId n : nodes) {
     social::ComponentId c =
         ri_.instance->components().Of(social::EntityId::Fragment(n));
     bool found = false;
@@ -247,31 +226,26 @@ bool SameBits(const social::BatchFrontier& a, const social::BatchFrontier& b) {
          a.nonzero == b.nonzero && a.lane_mass == b.lane_mass;
 }
 
-// Sliced pull (serial and pooled) against the CSR push and against the
-// single-seeker Propagate of every lane, over lane counts and frontier
-// densities from one row to all rows.
-void ExpectSweepsAgree(const social::TransitionMatrix& m, uint64_t seed,
-                       ThreadPool& pool) {
+// Sliced pull against the CSR push and against the single-seeker
+// Propagate of every lane, over lane counts and frontier densities from
+// one row to all rows.
+void ExpectSweepsAgree(const social::TransitionMatrix& m, uint64_t seed) {
   const size_t total = m.rows();
   Rng rng(seed);
-  social::BatchFrontier in, pull, pooled, push;
+  social::BatchFrontier in, pull, push;
   social::Frontier lane_in, lane_out;
   lane_in.Init(total);
   lane_out.Init(total);
   for (size_t lanes : {1, 2, 4, 8, 12}) {
     pull.Init(total, lanes);
-    pooled.Init(total, lanes);
     push.Init(total, lanes);
     for (size_t n_rows : {size_t{1}, total / 50 + 1, total / 8 + 1,
                           total / 2 + 1, total}) {
       n_rows = std::min(n_rows, total);
       FillFrontier(in, total, lanes, n_rows, rng);
-      m.PropagateBatchPull(in, pull, nullptr);
-      m.PropagateBatchPull(in, pooled, &pool);
+      m.PropagateBatchPull(in, pull);
       m.PropagateBatchPush(in, push);
       EXPECT_TRUE(SameBits(pull, push))
-          << "lanes " << lanes << " rows " << n_rows;
-      EXPECT_TRUE(SameBits(pull, pooled))
           << "lanes " << lanes << " rows " << n_rows;
       EXPECT_TRUE(std::is_sorted(pull.nonzero.begin(), pull.nonzero.end()));
       for (size_t l = 0; l < lanes; ++l) {
@@ -324,7 +298,6 @@ size_t ZeroInDegreeRows(const social::TransitionMatrix& m) {
 }
 
 TEST(SlicedPullPropertyTest, RandomInstancesMatchPushBitForBit) {
-  ThreadPool pool(3);
   bool saw_ragged = false, saw_zero_in_degree = false;
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     s3::testing::RandomInstanceParams p;
@@ -338,7 +311,7 @@ TEST(SlicedPullPropertyTest, RandomInstancesMatchPushBitForBit) {
     saw_ragged = saw_ragged || m.rows() % social::pk::kSliceRows != 0;
     saw_zero_in_degree = saw_zero_in_degree || ZeroInDegreeRows(m) > 0;
     SCOPED_TRACE("seed " + std::to_string(p.seed));
-    ExpectSweepsAgree(m, seed, pool);
+    ExpectSweepsAgree(m, seed);
   }
   EXPECT_TRUE(saw_ragged);
   EXPECT_TRUE(saw_zero_in_degree);
@@ -380,12 +353,10 @@ TEST(SlicedPullPropertyTest, HubRowFarWiderThanItsWindow) {
   const uint64_t width =
       (t.ptr[slice + 1] - t.ptr[slice]) / social::pk::kSliceRows;
   EXPECT_GE(width, 4 * social::pk::kSortWindow);
-  ThreadPool pool(3);
-  ExpectSweepsAgree(m, 5, pool);
+  ExpectSweepsAgree(m, 5);
 }
 
 TEST(SlicedPullPropertyTest, RebuiltAfterDeltaEqualsFreshBuild) {
-  ThreadPool pool(2);
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     s3::testing::RandomInstanceParams p;
     p.seed = 400 + seed;
@@ -420,7 +391,7 @@ TEST(SlicedPullPropertyTest, RebuiltAfterDeltaEqualsFreshBuild) {
       SCOPED_TRACE("seed " + std::to_string(seed) + " gen " +
                    std::to_string(gen));
       ExpectSameMatrix(snap->matrix(), FreshBuild(*snap));
-      ExpectSweepsAgree(snap->matrix(), seed * 10 + gen, pool);
+      ExpectSweepsAgree(snap->matrix(), seed * 10 + gen);
     }
   }
 }
@@ -439,8 +410,7 @@ TEST(SlicedPullPropertyTest, RebuiltAfterV2AttachEqualsFreshBuild) {
   EXPECT_TRUE(m.values().is_view());
   ExpectSameMatrix(m, FreshBuild(**attached));
   ExpectSameMatrix(m, ri.instance->matrix());
-  ThreadPool pool(2);
-  ExpectSweepsAgree(m, 9, pool);
+  ExpectSweepsAgree(m, 9);
 }
 
 TEST(SlicedPullPropertyTest, AdoptRejectsRowsBeyondTheGatherIndex) {

@@ -157,23 +157,6 @@ TEST_F(Figure3SearchTest, DeterministicAcrossRuns) {
   }
 }
 
-TEST_F(Figure3SearchTest, ThreadedSearchMatchesSequential) {
-  S3kOptions seq;
-  seq.k = 3;
-  S3kOptions par = seq;
-  par.threads = 4;
-  S3kSearcher s1(*fig_.instance, seq);
-  S3kSearcher s2(*fig_.instance, par);
-  auto r1 = s1.Search(Query{fig_.u1, {fig_.k1}});
-  auto r2 = s2.Search(Query{fig_.u1, {fig_.k1}});
-  ASSERT_TRUE(r1.ok());
-  ASSERT_TRUE(r2.ok());
-  ASSERT_EQ(r1->size(), r2->size());
-  for (size_t i = 0; i < r1->size(); ++i) {
-    EXPECT_EQ((*r1)[i].node, (*r2)[i].node);
-  }
-}
-
 // ---- Figure 1: semantics in search ------------------------------------------
 
 TEST(Figure1SearchTest, SemanticExtensionChangesAnswers) {
@@ -231,6 +214,9 @@ struct OracleCase {
   double eta;
   size_t k;
   size_t n_query_keywords;
+  // > 0: the instance is BuildClusteredInstance with this many passing
+  // components instead of a random one.
+  size_t clusters = 0;
 };
 
 class OracleComparisonTest : public ::testing::TestWithParam<OracleCase> {};
@@ -239,7 +225,9 @@ TEST_P(OracleComparisonTest, MatchesBruteForce) {
   const OracleCase& tc = GetParam();
   s3::testing::RandomInstanceParams p;
   p.seed = tc.seed;
-  auto ri = s3::testing::BuildRandomInstance(p);
+  auto ri = tc.clusters > 0
+                ? s3::testing::BuildClusteredInstance(tc.clusters, 30, tc.seed)
+                : s3::testing::BuildRandomInstance(p);
   const S3Instance& inst = *ri.instance;
 
   S3kOptions opts;
@@ -261,6 +249,7 @@ TEST_P(OracleComparisonTest, MatchesBruteForce) {
     auto s3k = S3kSearcher(inst, opts).Search(q, &stats);
     ASSERT_TRUE(s3k.ok());
     EXPECT_TRUE(stats.converged) << "seed " << tc.seed;
+    if (tc.clusters > 0) EXPECT_EQ(stats.components_passing, tc.clusters);
 
     auto prox = ConvergedProx(inst, q.seeker, tc.gamma, 120);
     auto oracle = NaiveSearchWithProx(inst, q, opts, prox);
@@ -306,7 +295,8 @@ INSTANTIATE_TEST_SUITE_P(
                       OracleCase{7, 1.5, 0.5, 8, 1},
                       OracleCase{8, 1.1, 0.9, 3, 1},
                       OracleCase{9, 2.0, 0.5, 3, 2},
-                      OracleCase{10, 1.5, 0.5, 1, 1}));
+                      OracleCase{10, 1.5, 0.5, 1, 1},
+                      OracleCase{27, 1.5, 0.5, 5, 1, 16}));
 
 }  // namespace
 }  // namespace s3::core

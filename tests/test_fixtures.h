@@ -8,6 +8,7 @@
 
 #include "common/rng.h"
 #include "core/s3_instance.h"
+#include "core/s3k.h"
 
 namespace s3::testing {
 
@@ -169,6 +170,17 @@ inline Figure1 BuildFigure1() {
   return f;
 }
 
+// The candidate universe of a plan: every candidate node of its passing
+// components, in the order the engine flattens them.
+inline std::vector<doc::NodeId> CandidateNodes(
+    const core::CandidatePlan& plan) {
+  std::vector<doc::NodeId> nodes;
+  for (const core::ComponentCandidates& cc : plan.per_comp) {
+    for (const core::Candidate& c : cc.candidates) nodes.push_back(c.node);
+  }
+  return nodes;
+}
+
 // Random small instance for oracle-comparison property tests.
 struct RandomInstanceParams {
   uint64_t seed = 1;
@@ -260,6 +272,53 @@ inline RandomInstance BuildRandomInstance(const RandomInstanceParams& p) {
     }
   }
 
+  (void)inst.Finalize();
+  return out;
+}
+
+// Exactly `n_clusters` passing components for either keyword: each
+// cluster is one poster's comment-linked group of ~docs_per_cluster
+// documents (one connected component), every document holds
+// keywords[0] and about half also keywords[1], and user 0 follows and
+// is followed by every poster, so every cluster is reachable. Cluster
+// sizes are jittered so components carry unequal work.
+inline RandomInstance BuildClusteredInstance(size_t n_clusters,
+                                             size_t docs_per_cluster,
+                                             uint64_t seed) {
+  RandomInstance out;
+  out.instance = std::make_unique<core::S3Instance>();
+  core::S3Instance& inst = *out.instance;
+  Rng rng(seed);
+
+  const social::UserId seeker = inst.AddUser("seeker");
+  out.keywords = {inst.InternKeyword("topic"), inst.InternKeyword("filler")};
+  for (size_t c = 0; c < n_clusters; ++c) {
+    social::UserId poster = inst.AddUser("poster" + std::to_string(c));
+    (void)inst.AddSocialEdge(seeker, poster, 0.2 + 0.7 * rng.NextDouble());
+    (void)inst.AddSocialEdge(poster, seeker, 0.2 + 0.7 * rng.NextDouble());
+
+    const size_t n_docs = docs_per_cluster + rng.Uniform(3);
+    doc::NodeId first_root = doc::kInvalidNode;
+    for (size_t i = 0; i < n_docs; ++i) {
+      doc::Document d("doc");
+      d.AddKeywords(d.AddChild(0, "par"), {out.keywords[0]});
+      if (rng.Chance(0.5)) {
+        d.AddKeywords(d.AddChild(0, "par"), {out.keywords[1]});
+      }
+      doc::DocId id =
+          inst.AddDocument(std::move(d),
+                           "d" + std::to_string(c) + "_" + std::to_string(i),
+                           poster)
+              .value();
+      if (i == 0) {
+        first_root = inst.docs().RootNode(id);
+      } else {
+        // Comment-link every later doc onto the cluster head: one
+        // component per cluster, never a bridge between clusters.
+        (void)inst.AddComment(id, first_root);
+      }
+    }
+  }
   (void)inst.Finalize();
   return out;
 }
