@@ -6,17 +6,15 @@
 //
 //   text     LoadInstance() + Finalize()   — population replay, then
 //            saturation + matrix + components rebuilt from scratch;
-//   v1 copy  LoadBinarySnapshot(v1 bytes)  — checksummed fixed-width
-//            parse + AttachDerived(), everything copied to the heap;
 //   v2 copy  LoadBinarySnapshot(v2 bytes)  — compact-section decode,
 //            eager CRC over every section, heap copies;
 //   v2 mmap  AttachBinarySnapshot(region)  — compact-section decode
 //            plus zero-copy views over the mapped aligned sections
 //            (matrix CSR floats, forest), lazy CRC.
 //
-// Also records bytes_on_disk for the text dump and both binary
-// formats — the v2 compaction acceptance criterion (v2 <= 1.5x text)
-// is measured here.
+// Also records bytes_on_disk of the v2 snapshot next to the text dump
+// — the v2 compaction acceptance criterion (v2 <= 1.5x text) is
+// measured here.
 //
 // Results are merged into BENCH_micro.json (BenchJsonWriter merge
 // mode) next to the google-benchmark records, so the bench-regression
@@ -54,21 +52,15 @@ int main() {
               gen.instance->TagCount(), gen.instance->rdf_graph().size());
 
   const std::string text = s3::core::SaveInstance(*gen.instance);
-  auto v1 = s3::core::SaveBinarySnapshot(*gen.instance,
-                                         s3::core::kBinarySnapshotV1);
-  auto v2 = s3::core::SaveBinarySnapshot(*gen.instance,
-                                         s3::core::kBinarySnapshotV2);
-  if (!v1.ok() || !v2.ok()) {
+  auto v2 = s3::core::SaveBinarySnapshot(*gen.instance);
+  if (!v2.ok()) {
     std::fprintf(stderr, "SaveBinarySnapshot failed\n");
     return 1;
   }
-  const double v1_vs_text =
-      static_cast<double>(v1->size()) / static_cast<double>(text.size());
   const double v2_vs_text =
       static_cast<double>(v2->size()) / static_cast<double>(text.size());
-  std::printf("snapshot bytes: text=%zu v1=%zu (%.2fx text) v2=%zu "
-              "(%.2fx text)\n",
-              text.size(), v1->size(), v1_vs_text, v2->size(), v2_vs_text);
+  std::printf("snapshot bytes: text=%zu v2=%zu (%.2fx text)\n", text.size(),
+              v2->size(), v2_vs_text);
 
   // The mmap leg attaches from a real file, like SnapshotManager
   // recovery does.
@@ -92,18 +84,15 @@ int main() {
       std::fprintf(stderr, "text load failed\n");
       return 1;
     }
-    for (const auto* blob : {&*v1, &*v2}) {
-      auto attached = s3::core::LoadBinarySnapshot(*blob);
-      if (!attached.ok()) {
-        std::fprintf(stderr, "binary load failed: %s\n",
-                     attached.status().ToString().c_str());
-        return 1;
-      }
-      if ((*attached)->docs().NodeCount() !=
-          (*loaded)->docs().NodeCount()) {
-        std::fprintf(stderr, "load paths disagree on the population\n");
-        return 1;
-      }
+    auto attached = s3::core::LoadBinarySnapshot(*v2);
+    if (!attached.ok()) {
+      std::fprintf(stderr, "binary load failed: %s\n",
+                   attached.status().ToString().c_str());
+      return 1;
+    }
+    if ((*attached)->docs().NodeCount() != (*loaded)->docs().NodeCount()) {
+      std::fprintf(stderr, "load paths disagree on the population\n");
+      return 1;
     }
   }
 
@@ -115,18 +104,13 @@ int main() {
     text_seconds += t.ElapsedSeconds();
   }
 
-  auto time_copy_load = [&](const std::string& blob, double* out) {
-    for (size_t i = 0; i < iters; ++i) {
-      WallTimer t;
-      auto attached = s3::core::LoadBinarySnapshot(blob);
-      if (!attached.ok()) return false;
-      *out += t.ElapsedSeconds();
-    }
-    return true;
-  };
-  double v1_seconds = 0.0, v2_seconds = 0.0;
-  if (!time_copy_load(*v1, &v1_seconds)) return 1;
-  if (!time_copy_load(*v2, &v2_seconds)) return 1;
+  double v2_seconds = 0.0;
+  for (size_t i = 0; i < iters; ++i) {
+    WallTimer t;
+    auto attached = s3::core::LoadBinarySnapshot(*v2);
+    if (!attached.ok()) return 1;
+    v2_seconds += t.ElapsedSeconds();
+  }
 
   // mmap attach: open + map + attach per iteration — the full cold
   // path a recovering server pays.
@@ -142,16 +126,14 @@ int main() {
   std::remove(v2_path.c_str());
 
   const double text_ns = text_seconds / iters * 1e9;
-  const double v1_ns = v1_seconds / iters * 1e9;
   const double v2_ns = v2_seconds / iters * 1e9;
   const double mmap_ns = mmap_seconds / iters * 1e9;
   std::printf("text load+Finalize : %8.2f ms/op\n", text_ns / 1e6);
-  std::printf("v1 copy attach     : %8.2f ms/op\n", v1_ns / 1e6);
   std::printf("v2 copy attach     : %8.2f ms/op\n", v2_ns / 1e6);
   std::printf("v2 mmap attach     : %8.2f ms/op\n", mmap_ns / 1e6);
-  std::printf("v2 mmap is %.2fx faster than v1 copy, %.2fx faster than "
+  std::printf("v2 mmap is %.2fx faster than v2 copy, %.2fx faster than "
               "text+Finalize\n",
-              mmap_ns > 0 ? v1_ns / mmap_ns : 0.0,
+              mmap_ns > 0 ? v2_ns / mmap_ns : 0.0,
               mmap_ns > 0 ? text_ns / mmap_ns : 0.0);
 
   s3::bench::BenchJsonWriter writer("BENCH_micro.json", /*merge=*/true);
@@ -159,14 +141,10 @@ int main() {
   char extra[96];
   std::snprintf(extra, sizeof(extra),
                 "\"bytes_on_disk\": %zu, \"bytes_vs_text\": %.2f",
-                v1->size(), v1_vs_text);
-  writer.Add("BM_ColdStart_I1_BinaryAttach", v1_ns, extra);
-  std::snprintf(extra, sizeof(extra),
-                "\"bytes_on_disk\": %zu, \"bytes_vs_text\": %.2f",
                 v2->size(), v2_vs_text);
   writer.Add("BM_ColdStart_I1_V2CopyAttach", v2_ns, extra);
-  std::snprintf(extra, sizeof(extra), "\"speedup_vs_v1_copy\": %.2f",
-                mmap_ns > 0 ? v1_ns / mmap_ns : 0.0);
+  std::snprintf(extra, sizeof(extra), "\"speedup_vs_v2_copy\": %.2f",
+                mmap_ns > 0 ? v2_ns / mmap_ns : 0.0);
   writer.Add("BM_ColdStart_I1_V2MmapAttach", mmap_ns, extra);
   return 0;
 }

@@ -29,7 +29,6 @@
 #include "common/timer.h"
 #include "eval/runtime.h"
 #include "obs/metrics.h"
-#include "eval/service_stats.h"
 #include "shard/partitioner.h"
 #include "shard/shard_router.h"
 #include "workload/microblog_gen.h"
@@ -69,14 +68,16 @@ std::vector<core::Query> MakeHotTrace(const core::S3Instance& inst,
 
 struct RunResult {
   double seconds = 0.0;
-  eval::LatencySnapshot latency;
-  eval::ServiceCounters counters;  // summed over shards
+  bench::LatencySummary latency;
+  server::QueryServiceStats counters;  // summed over shards
 };
 
 RunResult RunTrace(shard::ShardRouter& router,
                    const std::vector<core::Query>& trace,
                    unsigned client_threads) {
-  eval::LatencyRecorder latency;
+  // One latency vector per client thread (client-side timers), merged
+  // after the join.
+  std::vector<std::vector<double>> per_client(client_threads);
   std::vector<std::thread> clients;
   clients.reserve(client_threads);
   WallTimer timer;
@@ -85,7 +86,7 @@ RunResult RunTrace(shard::ShardRouter& router,
       for (size_t i = t; i < trace.size(); i += client_threads) {
         WallTimer per_query;
         auto resp = router.Query(trace[i]);
-        if (resp.ok()) latency.Add(per_query.ElapsedSeconds());
+        if (resp.ok()) per_client[t].push_back(per_query.ElapsedSeconds());
       }
     });
   }
@@ -93,10 +94,14 @@ RunResult RunTrace(shard::ShardRouter& router,
 
   RunResult out;
   out.seconds = timer.ElapsedSeconds();
-  out.latency = latency.TakeSnapshot(out.seconds);
+  std::vector<double> latencies;
+  for (const auto& l : per_client) {
+    latencies.insert(latencies.end(), l.begin(), l.end());
+  }
+  out.latency = bench::SummarizeLatency(latencies, out.seconds);
   for (uint32_t s = 0; s < router.shard_count(); ++s) {
-    const eval::ServiceCounters c = router.service(s).Stats().Counters();
-    out.counters.rejected_queue_full += c.rejected_queue_full;
+    const server::QueryServiceStats c = router.service(s).Stats();
+    out.counters.rejected += c.rejected;
     out.counters.cache_hits += c.cache_hits;
     out.counters.cache_misses += c.cache_misses;
   }
@@ -169,9 +174,9 @@ int main() {
     std::snprintf(bnd, sizeof(bnd), "%llu",
                   static_cast<unsigned long long>(boundary));
     table.AddRow({std::to_string(n_shards), qps_s, spd, p50, p99, hit, bnd});
-    std::printf("shards=%u: %s | %s\n", n_shards,
-                eval::FormatSnapshot(r.latency).c_str(),
-                eval::FormatCounters(r.counters).c_str());
+    std::printf("shards=%u: n=%zu qps=%.1f p50=%.2fms p99=%.2fms | %s\n",
+                n_shards, r.latency.count, r.latency.qps, r.latency.p50_ms,
+                r.latency.p99_ms, server::FormatCounters(r.counters).c_str());
 
     char extra[256];
     std::snprintf(extra, sizeof(extra),

@@ -36,7 +36,6 @@
 #include "core/instance_delta.h"
 #include "eval/runtime.h"
 #include "obs/metrics.h"
-#include "eval/service_stats.h"
 #include "server/query_service.h"
 #include "server/snapshot_manager.h"
 #include "workload/microblog_gen.h"
@@ -114,7 +113,7 @@ core::InstanceDelta MakeDelta(std::shared_ptr<const core::S3Instance> snap,
 
 struct MixedRunResult {
   double seconds = 0.0;
-  eval::LatencySnapshot query_latency;
+  bench::LatencySummary query_latency;
   size_t updates_applied = 0;
   double update_mean_ms = 0.0;
   double update_p99_ms = 0.0;
@@ -198,15 +197,22 @@ MixedRunResult RunMixed(std::shared_ptr<const core::S3Instance> snapshot,
     if (submitted.ok()) futures.push_back(std::move(*submitted));
   }
   size_t failed = 0;
+  std::vector<double> latencies;
+  latencies.reserve(futures.size());
   for (auto& f : futures) {
-    if (!f.get().ok()) ++failed;
+    auto response = f.get();
+    if (response.ok()) {
+      latencies.push_back(response->total_seconds);
+    } else {
+      ++failed;
+    }
   }
   MixedRunResult out;
   out.seconds = timer.ElapsedSeconds();
   stop.store(true, std::memory_order_release);
   if (updater.joinable()) updater.join();
 
-  out.query_latency = service.latency().TakeSnapshot(out.seconds);
+  out.query_latency = bench::SummarizeLatency(latencies, out.seconds);
   out.updates_applied = update_seconds.size();
   out.update_mean_ms = Mean(update_seconds) * 1e3;
   out.update_p99_ms = Quantile(update_seconds, 0.99) * 1e3;

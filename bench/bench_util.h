@@ -21,6 +21,7 @@
 #include "baseline/flatten.h"
 #include "baseline/topks.h"
 #include "bench_context.h"
+#include "common/stats.h"
 #include "common/timer.h"
 #include "core/s3k.h"
 #include "eval/runtime.h"
@@ -43,6 +44,26 @@ inline double Scale() {
 
 inline uint32_t Scaled(uint32_t base) {
   return static_cast<uint32_t>(base * Scale());
+}
+
+// Latency summary of a serving run: per-query seconds (the responses'
+// QueryResponse::total_seconds, or a client-side timer) over the run's
+// wall-clock window.
+struct LatencySummary {
+  size_t count = 0;
+  double qps = 0.0;
+  double p50_ms = 0.0;
+  double p99_ms = 0.0;
+};
+
+inline LatencySummary SummarizeLatency(const std::vector<double>& seconds,
+                                       double elapsed_seconds) {
+  LatencySummary s;
+  s.count = seconds.size();
+  if (elapsed_seconds > 0.0) s.qps = s.count / elapsed_seconds;
+  s.p50_ms = Quantile(seconds, 0.50) * 1e3;
+  s.p99_ms = Quantile(seconds, 0.99) * 1e3;
+  return s;
 }
 
 // Machine-readable run record, mirroring google-benchmark's JSON shape

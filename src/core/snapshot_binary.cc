@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <type_traits>
 #include <utility>
 
@@ -169,60 +168,10 @@ Status ParseFrames(std::string_view bytes, bool strict_crc,
   return Status::OK();
 }
 
-// ---- section writers ---------------------------------------------------
-
-void AppendSection(std::string* out, uint32_t id,
-                   const std::string& payload) {
-  ByteWriter w(out);
-  w.U32(id);
-  w.U64(payload.size());
-  w.U32(Crc32(payload));
-  out->append(payload);
-}
-
-std::string WriteVocab(const S3Instance& inst) {
-  std::string p;
-  ByteWriter w(&p);
-  w.U64(inst.vocabulary().size());
-  for (KeywordId k = 0; k < inst.vocabulary().size(); ++k) {
-    w.Str(inst.vocabulary().Spelling(k));
-  }
-  return p;
-}
-
-std::string WriteUsers(const S3Instance& inst) {
-  std::string p;
-  ByteWriter w(&p);
-  w.U64(inst.users().size());
-  for (const User& u : inst.users()) w.Str(u.uri);
-  return p;
-}
-
-std::string WriteTerms(const S3Instance& inst) {
-  std::string p;
-  ByteWriter w(&p);
-  const rdf::TermDictionary& terms = inst.terms();
-  w.U64(terms.size());
-  for (rdf::TermId t = 0; t < terms.size(); ++t) {
-    w.U8(static_cast<uint8_t>(terms.Kind(t)));
-    w.Str(terms.Text(t));
-  }
-  return p;
-}
-
-std::string WriteTriples(const S3Instance& inst) {
-  std::string p;
-  ByteWriter w(&p);
-  const auto& triples = inst.rdf_graph().triples();
-  w.U64(triples.size());
-  for (const rdf::Triple& t : triples) {
-    w.U32(t.subject);
-    w.U32(t.property);
-    w.U32(t.object);
-    w.F64(t.weight);
-  }
-  return p;
-}
+// ---- raw DOCS writer -------------------------------------------------
+// v1 is read-only, but v2 writes META and DOCS in their raw v1 layout
+// (a DOCS entry is the root URI plus the document-tree wire format the
+// WAL uses too).
 
 std::string WriteDocs(const S3Instance& inst) {
   std::string p;
@@ -232,111 +181,6 @@ std::string WriteDocs(const S3Instance& inst) {
   for (doc::DocId d = 0; d < docs.DocumentCount(); ++d) {
     w.Str(docs.Uri(docs.RootNode(d)));
     doc::WriteDocumentTree(docs.document(d), w);
-  }
-  return p;
-}
-
-std::string WriteComments(const S3Instance& inst) {
-  std::string p;
-  ByteWriter w(&p);
-  const size_t n_docs = inst.docs().DocumentCount();
-  w.U64(n_docs);
-  for (doc::DocId d = 0; d < n_docs; ++d) w.U32(inst.CommentTarget(d));
-  return p;
-}
-
-std::string WriteTags(const S3Instance& inst) {
-  std::string p;
-  ByteWriter w(&p);
-  w.U64(inst.tags().size());
-  for (const Tag& t : inst.tags()) {
-    w.U32(t.author);
-    w.U8(t.subject.kind() == social::EntityKind::kTag ? 1 : 0);
-    w.U32(t.subject.index());
-    w.U32(t.keyword);
-  }
-  return p;
-}
-
-std::string WriteSocial(const S3Instance& inst) {
-  std::string p;
-  ByteWriter w(&p);
-  w.U64(inst.explicit_social_edges().size());
-  for (const S3Instance::ExplicitSocialEdge& e :
-       inst.explicit_social_edges()) {
-    w.U32(e.from);
-    w.U32(e.to);
-    w.F64(e.weight);
-  }
-  return p;
-}
-
-std::string WriteEdges(const S3Instance& inst) {
-  std::string p;
-  ByteWriter w(&p);
-  w.U64(inst.edges().size());
-  for (const social::NetEdge& e : inst.edges().edges()) {
-    w.U8(static_cast<uint8_t>(e.label));
-    w.U32(e.source.packed());
-    w.U32(e.target.packed());
-    w.F64(e.weight);
-  }
-  return p;
-}
-
-std::string WriteIndex(const S3Instance& inst) {
-  std::string p;
-  ByteWriter w(&p);
-  std::vector<KeywordId> keys = inst.index().Keywords();
-  std::sort(keys.begin(), keys.end());
-  w.U64(keys.size());
-  for (KeywordId k : keys) {
-    const std::vector<doc::NodeId>& postings = inst.index().Postings(k);
-    w.U32(k);
-    w.U64(postings.size());
-    for (doc::NodeId n : postings) w.U32(n);
-  }
-  return p;
-}
-
-std::string WriteMatrix(const S3Instance& inst) {
-  std::string p;
-  ByteWriter w(&p);
-  const social::TransitionMatrix& m = inst.matrix();
-  w.U64(m.rows());
-  for (uint64_t v : m.row_ptr()) w.U64(v);
-  w.U64(m.col_index().size());
-  for (uint32_t c : m.col_index()) w.U32(c);
-  for (double v : m.values()) w.F64(v);
-  for (double v : m.denominators()) w.F64(v);
-  return p;
-}
-
-std::string WriteComponents(const S3Instance& inst) {
-  std::string p;
-  ByteWriter w(&p);
-  const StorageSpan<uint32_t>& forest = inst.components().forest();
-  w.U64(forest.size());
-  for (uint32_t parent : forest) w.U32(parent);
-  return p;
-}
-
-std::string WriteKeywordComps(const S3Instance& inst) {
-  std::string p;
-  ByteWriter w(&p);
-  // Ascending keyword scan yields canonical (deterministic) bytes.
-  std::vector<std::pair<KeywordId, const std::vector<social::ComponentId>*>>
-      entries;
-  for (KeywordId k = 0; k < inst.vocabulary().size(); ++k) {
-    const std::vector<social::ComponentId>& comps =
-        inst.ComponentsWithKeyword(k);
-    if (!comps.empty()) entries.emplace_back(k, &comps);
-  }
-  w.U64(entries.size());
-  for (const auto& [k, comps] : entries) {
-    w.U32(k);
-    w.U64(comps->size());
-    for (social::ComponentId c : *comps) w.U32(c);
   }
   return p;
 }
@@ -1047,7 +891,7 @@ Result<std::string> SaveBinarySnapshotV2(const S3Instance& inst) {
   add(kTerms, WriteTermsV2);
   add(kTriples, WriteTriplesV2);
   {
-    std::string docs = WriteDocs(inst);  // raw: shared with v1 / the WAL
+    std::string docs = WriteDocs(inst);  // raw: the v1 layout
     const uint64_t docs_mem = docs.size();
     set(kDocs, std::move(docs), docs_mem);
   }
@@ -1752,59 +1596,14 @@ bool LooksLikeBinarySnapshot(std::string_view bytes) {
              std::string_view(kMagic, sizeof(kMagic));
 }
 
-uint32_t DefaultBinarySnapshotVersion() {
-  // Read per call (not cached) so tests can flip the override.
-  if (const char* force = std::getenv("S3_FORCE_SNAPSHOT_V1")) {
-    const std::string_view v(force);
-    if (v == "1" || v == "ON" || v == "on") return kBinarySnapshotV1;
-  }
-  return kBinarySnapshotV2;
-}
-
-Result<std::string> SaveBinarySnapshot(const S3Instance& inst,
-                                       uint32_t version) {
+Result<std::string> SaveBinarySnapshot(const S3Instance& inst) {
   if (!inst.finalized()) {
     return Status::FailedPrecondition(
         "binary snapshots require a finalized instance (the format "
         "serializes derived state; use the text codec for build-phase "
         "dumps)");
   }
-  if (version == kBinarySnapshotV2) return SaveBinarySnapshotV2(inst);
-  if (version != kBinarySnapshotV1) {
-    return Status::InvalidArgument("unknown binary snapshot version " +
-                                   std::to_string(version));
-  }
-  std::string out;
-  out.append(kMagic, sizeof(kMagic));
-  {
-    ByteWriter w(&out);
-    w.U32(kBinarySnapshotV1);
-    w.U32(kSectionCount);
-  }
-  {
-    std::string meta;
-    ByteWriter w(&meta);
-    WriteMeta(inst, w);
-    AppendSection(&out, kMeta, meta);
-  }
-  AppendSection(&out, kVocab, WriteVocab(inst));
-  AppendSection(&out, kUsers, WriteUsers(inst));
-  AppendSection(&out, kTerms, WriteTerms(inst));
-  AppendSection(&out, kTriples, WriteTriples(inst));
-  AppendSection(&out, kDocs, WriteDocs(inst));
-  AppendSection(&out, kComments, WriteComments(inst));
-  AppendSection(&out, kTags, WriteTags(inst));
-  AppendSection(&out, kSocial, WriteSocial(inst));
-  AppendSection(&out, kEdges, WriteEdges(inst));
-  AppendSection(&out, kIndex, WriteIndex(inst));
-  AppendSection(&out, kMatrix, WriteMatrix(inst));
-  AppendSection(&out, kComponents, WriteComponents(inst));
-  AppendSection(&out, kKeywordComps, WriteKeywordComps(inst));
-  return out;
-}
-
-Result<std::string> SaveBinarySnapshot(const S3Instance& inst) {
-  return SaveBinarySnapshot(inst, DefaultBinarySnapshotVersion());
+  return SaveBinarySnapshotV2(inst);
 }
 
 Result<std::shared_ptr<const S3Instance>> LoadBinarySnapshot(

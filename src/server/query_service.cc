@@ -1,6 +1,7 @@
 #include "server/query_service.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -24,6 +25,63 @@ bool SameKeywordMultiset(const std::vector<KeywordId>& keywords,
 }
 
 }  // namespace
+
+size_t CertifiedEpsilonBucket(double eps) {
+  // NaN (never produced by the engine, but callers may synthesize) is
+  // "uncertified" — the overflow bucket, like infinity.
+  if (!(eps <= 1e-1)) return 5;
+  if (eps <= 1e-9) return 0;
+  if (eps <= 1e-6) return 1;
+  if (eps <= 1e-3) return 2;
+  if (eps <= 1e-2) return 3;
+  return 4;
+}
+
+const char* CertifiedEpsilonBucketLabel(size_t bucket) {
+  static const char* kLabels[kCertifiedEpsBuckets] = {
+      "<=1e-9", "<=1e-6", "<=1e-3", "<=1e-2", "<=1e-1", ">1e-1"};
+  return bucket < kCertifiedEpsBuckets ? kLabels[bucket] : "?";
+}
+
+std::string FormatCounters(const QueryServiceStats& s) {
+  char buf[448];
+  int n = 0;
+  if (s.cache_hits + s.cache_misses == 0) {
+    n = std::snprintf(buf, sizeof(buf), "rejected=%llu cache=off",
+                      static_cast<unsigned long long>(s.rejected));
+  } else {
+    n = std::snprintf(buf, sizeof(buf),
+                      "rejected=%llu cache=%llu/%llu (%.1f%% hit)",
+                      static_cast<unsigned long long>(s.rejected),
+                      static_cast<unsigned long long>(s.cache_hits),
+                      static_cast<unsigned long long>(s.cache_hits +
+                                                      s.cache_misses),
+                      s.CacheHitRate() * 100.0);
+  }
+  auto append = [&](const char* fmt, auto... args) {
+    if (n > 0 && static_cast<size_t>(n) < sizeof(buf)) {
+      const int wrote = std::snprintf(buf + n, sizeof(buf) - n, fmt, args...);
+      if (wrote > 0) n += wrote;
+    }
+  };
+  if (s.batches_executed > 0) {
+    append(" batched=%llu/%llu (%.1f avg)",
+           static_cast<unsigned long long>(s.batched_queries),
+           static_cast<unsigned long long>(s.batches_executed),
+           s.MeanBatchWidth());
+  }
+  if (s.anytime_queries > 0 || s.deadline_exceeded > 0) {
+    append(" anytime=%llu deadline_exceeded=%llu",
+           static_cast<unsigned long long>(s.anytime_queries),
+           static_cast<unsigned long long>(s.deadline_exceeded));
+    for (size_t b = 0; b < kCertifiedEpsBuckets; ++b) {
+      if (s.certified_eps_hist[b] == 0) continue;
+      append(" eps[%s]=%llu", CertifiedEpsilonBucketLabel(b),
+             static_cast<unsigned long long>(s.certified_eps_hist[b]));
+    }
+  }
+  return buf;
+}
 
 QueryService::QueryService(std::shared_ptr<const core::S3Instance> snapshot,
                            QueryServiceOptions options)
@@ -92,9 +150,9 @@ void QueryService::RegisterMetrics() {
   view("s3_deadline_exceeded_total",
        "Completed queries whose search deadline expired.",
        deadline_exceeded_);
-  for (size_t b = 0; b < eval::ServiceCounters::kEpsBuckets; ++b) {
+  for (size_t b = 0; b < kCertifiedEpsBuckets; ++b) {
     obs::Labels labels = svc;
-    labels.emplace_back("bucket", eval::CertifiedEpsilonBucketLabel(b));
+    labels.emplace_back("bucket", CertifiedEpsilonBucketLabel(b));
     callbacks_.Add("s3_query_certified_eps_total",
                    "Achieved certified-epsilon histogram over completed "
                    "queries (exact answers land in the leftmost bucket).",
@@ -285,7 +343,7 @@ void QueryService::RecordOutcome(const core::QueryRequest& query,
   if (stats.deadline_exceeded) {
     deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
   }
-  eps_hist_[eval::CertifiedEpsilonBucket(stats.certified_epsilon)].fetch_add(
+  eps_hist_[CertifiedEpsilonBucket(stats.certified_epsilon)].fetch_add(
       1, std::memory_order_relaxed);
 }
 
@@ -328,6 +386,8 @@ void QueryService::WorkerLoop(unsigned worker_index) {
   // shared_ptr keeps its generation alive until it rebinds.
   std::shared_ptr<const core::S3Instance> bound;
   std::optional<core::S3kSearcher> searcher;
+  const size_t window =
+      std::min(options_.batch_window, core::S3kSearcher::kMaxBatch);
 
   while (auto popped = queue_.Pop()) {
     // Busy-worker accounting brackets the whole task (the guard
@@ -346,10 +406,14 @@ void QueryService::WorkerLoop(unsigned worker_index) {
       }
     } busy_guard{busy_workers_, worker_busy_seconds_[worker_index]};
 
-    Task& task = *popped;
-    QueryResponse response;
-    response.queue_seconds = task.timer.ElapsedSeconds();
-    h_queue_wait_->Observe(response.queue_seconds);
+    // Every dequeued query starts a run: the head plus any same-plan
+    // followers drained behind it, answered by one SearchBatchWithPlan
+    // pass (width 1 when nothing batches).
+    std::vector<Task> run;
+    std::vector<double> queue_seconds;  // per member, stamped at dequeue
+    run.push_back(std::move(*popped));
+    queue_seconds.push_back(run[0].timer.ElapsedSeconds());
+    h_queue_wait_->Observe(queue_seconds[0]);
     // Trace sampling is decided before the query runs: a sampled query
     // carries the engine-side trace flag (per-iteration records) and
     // gets a QueryTrace built at completion; a sampled-out query pays
@@ -357,137 +421,103 @@ void QueryService::WorkerLoop(unsigned worker_index) {
     // affects the result (engine tracing is read-only).
     const uint64_t query_id = trace_ids_.fetch_add(1, std::memory_order_relaxed);
     const bool sampled = tracer_.ShouldSample();
-    if (sampled) task.query.options.trace = true;
+    if (sampled) run[0].query.options.trace = true;
 
-    // Bind one snapshot for the whole query: snapshot, plan and
-    // searcher all come from this generation, even if a swap lands
-    // mid-query.
+    // Bind one snapshot for the whole run: snapshot, plan and searcher
+    // all come from this generation, even if a swap lands mid-query.
     auto current = snapshot();
     if (current != bound) {
       searcher.reset();
       bound = std::move(current);
       searcher.emplace(*bound, options_.search);
     }
-    response.generation = bound->generation();
 
-    auto plan = ResolvePlan(*bound, task.query, &response.cache_hit);
+    bool head_cache_hit = false;
+    auto plan = ResolvePlan(*bound, run[0].query, &head_cache_hit);
     if (!plan.ok()) {
       failed_.fetch_add(1, std::memory_order_release);
-      task.promise.set_value(plan.status());
+      run[0].promise.set_value(plan.status());
       continue;
     }
 
     // Multi-seeker batching: with the head's plan resolved, drain up
-    // to batch_window - 1 queued queries over the same keyword
-    // multiset (⇒ same plan: use_semantics/eta are service-wide and
-    // the snapshot is bound once above — a batch can never span a
+    // to window - 1 queued queries over the same keyword multiset
+    // (⇒ same plan: use_semantics/eta are service-wide and the
+    // snapshot is bound once above — a run can never span a
     // SwapSnapshot generation). Per-request options are *not* part of
     // the compatibility check: k/epsilon/deadline/mode ride as
     // per-lane BatchSeeker parameters, so an anytime request batches
     // with exact ones without perturbing them. Only consecutive
     // head-of-queue matches are taken, so non-matching queries are
     // never reordered past.
-    std::vector<Task> followers;
-    std::vector<double> follower_queue_secs;  // stamped at drain time
-    const size_t window =
-        std::min(options_.batch_window, core::S3kSearcher::kMaxBatch);
     if (window > 1) {
-      std::vector<KeywordId> sorted_ref = task.query.keywords;
+      std::vector<KeywordId> sorted_ref = run[0].query.keywords;
       std::sort(sorted_ref.begin(), sorted_ref.end());
-      while (followers.size() + 1 < window) {
+      while (run.size() < window) {
         auto more = queue_.TryPopIf([&](const Task& t) {
           return SameKeywordMultiset(t.query.keywords, sorted_ref);
         });
         if (!more) break;
-        follower_queue_secs.push_back(more->timer.ElapsedSeconds());
-        followers.push_back(std::move(*more));
+        queue_seconds.push_back(more->timer.ElapsedSeconds());
+        run.push_back(std::move(*more));
       }
     }
 
-    if (followers.empty()) {
-      // Single-query pass (batching off, or no same-plan neighbor was
-      // queued) — identical to the pre-batching serving path.
-      auto result = searcher->SearchWithPlan(task.query, **plan,
-                                             &response.stats);
-      if (!result.ok()) {
-        failed_.fetch_add(1, std::memory_order_release);
-        task.promise.set_value(result.status());
-        continue;
-      }
-      response.entries = std::move(*result);
-      response.certified_epsilon = response.stats.certified_epsilon;
-      response.deadline_exceeded = response.stats.deadline_exceeded;
-      RecordOutcome(task.query, response.stats);
-      response.total_seconds = task.timer.ElapsedSeconds();
-      latency_.Add(response.total_seconds);
-      h_exec_->Observe(response.total_seconds - response.queue_seconds);
-      h_total_->Observe(response.total_seconds);
-      h_batch_width_->Observe(1.0);
-      FinishQueryObs(query_id, sampled, task.query, response,
-                     /*batch_width=*/1);
-      // Release-ordered so a Stats() snapshot that sees this
-      // completion also sees the RecordOutcome increments and the
-      // admission that preceded it (see Stats()).
-      completed_.fetch_add(1, std::memory_order_release);
-      task.promise.set_value(std::move(response));
+    // Every member was validated at admission against a snapshot of
+    // this lineage no newer than `bound` (user ids only grow within a
+    // lineage), so per-member validation cannot fail here; a search
+    // error fails every member alike. Each member's QueryOptions
+    // become its lane parameters (k, certificate, deadline), resolved
+    // against the service search defaults.
+    std::vector<core::BatchSeeker> lanes;
+    lanes.reserve(run.size());
+    for (const Task& t : run) {
+      lanes.push_back(core::ResolveLane(t.query, options_.search));
+    }
+    auto results = searcher->SearchBatchWithPlan(lanes, **plan);
+    if (!results.ok()) {
+      failed_.fetch_add(run.size(), std::memory_order_release);
+      for (Task& t : run) t.promise.set_value(results.status());
       continue;
     }
-
-    // Batched pass. Every member was validated at admission against a
-    // snapshot of this lineage no newer than `bound` (user ids only
-    // grow within a lineage), so per-member validation cannot fail
-    // here; a batch error fails every member alike.
-    std::vector<Task> tasks;
-    tasks.reserve(followers.size() + 1);
-    tasks.push_back(std::move(task));
-    for (Task& f : followers) tasks.push_back(std::move(f));
-    std::vector<core::BatchSeeker> batch(tasks.size());
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      // Each member's QueryOptions become its lane parameters (k,
-      // certificate, deadline) — resolved against the service search
-      // defaults exactly like a solo SearchWithPlan would.
-      batch[i] = core::ResolveLane(tasks[i].query, options_.search);
+    const size_t width = run.size();
+    if (width > 1) {
+      // Queries-then-passes, with the pass release-ordered: a Stats()
+      // snapshot that sees a batch pass also sees all its member-query
+      // increments (batched_queries >= 2 * batches_executed holds for
+      // every snapshot).
+      batched_queries_.fetch_add(width, std::memory_order_relaxed);
+      batches_executed_.fetch_add(1, std::memory_order_release);
     }
-    auto batched = searcher->SearchBatchWithPlan(batch, **plan);
-    if (!batched.ok()) {
-      failed_.fetch_add(tasks.size(), std::memory_order_release);
-      for (Task& t : tasks) t.promise.set_value(batched.status());
-      continue;
-    }
-    // Queries-then-passes, with the pass release-ordered: a Stats()
-    // snapshot that sees a batch pass also sees all its member-query
-    // increments (batched_queries >= 2 * batches_executed holds for
-    // every snapshot).
-    batched_queries_.fetch_add(tasks.size(), std::memory_order_relaxed);
-    batches_executed_.fetch_add(1, std::memory_order_release);
-    h_batch_width_->Observe(static_cast<double>(tasks.size()));
-    for (size_t i = 0; i < tasks.size(); ++i) {
+    h_batch_width_->Observe(static_cast<double>(width));
+    for (size_t i = 0; i < width; ++i) {
       QueryResponse r;
-      r.generation = response.generation;
+      r.generation = bound->generation();
       // Followers ride the head's plan resolution: with the cache on,
       // a solo run would have hit the entry the head just ensured, so
       // report them as hits; with it off they are free riders either
       // way.
-      r.cache_hit = i == 0 ? response.cache_hit : cache_ != nullptr;
-      r.queue_seconds =
-          i == 0 ? response.queue_seconds : follower_queue_secs[i - 1];
-      r.entries = std::move((*batched)[i].entries);
-      r.stats = std::move((*batched)[i].stats);
+      r.cache_hit = i == 0 ? head_cache_hit : cache_ != nullptr;
+      r.queue_seconds = queue_seconds[i];
+      r.entries = std::move((*results)[i].entries);
+      r.stats = std::move((*results)[i].stats);
       r.certified_epsilon = r.stats.certified_epsilon;
       r.deadline_exceeded = r.stats.deadline_exceeded;
-      RecordOutcome(tasks[i].query, r.stats);
-      r.total_seconds = tasks[i].timer.ElapsedSeconds();
-      latency_.Add(r.total_seconds);
+      RecordOutcome(run[i].query, r.stats);
+      r.total_seconds = run[i].timer.ElapsedSeconds();
       h_exec_->Observe(r.total_seconds - r.queue_seconds);
       h_total_->Observe(r.total_seconds);
-      // Only the batch head can be the sampled query (the decision was
+      // Only the run head can be the sampled query (the decision was
       // taken at its dequeue); followers still feed the slow log under
       // their own ids.
       FinishQueryObs(
           i == 0 ? query_id : trace_ids_.fetch_add(1, std::memory_order_relaxed),
-          i == 0 && sampled, tasks[i].query, r, tasks.size());
+          i == 0 && sampled, run[i].query, r, width);
+      // Release-ordered so a Stats() snapshot that sees this
+      // completion also sees the RecordOutcome increments and the
+      // admission that preceded it (see Stats()).
       completed_.fetch_add(1, std::memory_order_release);
-      tasks[i].promise.set_value(std::move(r));
+      run[i].promise.set_value(std::move(r));
     }
   }
 }
@@ -580,7 +610,7 @@ QueryServiceStats QueryService::Stats() const {
   out.failed = failed_.load(std::memory_order_acquire);
   out.anytime_queries = anytime_queries_.load(std::memory_order_relaxed);
   out.deadline_exceeded = deadline_exceeded_.load(std::memory_order_relaxed);
-  for (size_t b = 0; b < eval::ServiceCounters::kEpsBuckets; ++b) {
+  for (size_t b = 0; b < kCertifiedEpsBuckets; ++b) {
     out.certified_eps_hist[b] = eps_hist_[b].load(std::memory_order_relaxed);
   }
   out.rejected = rejected_.load(std::memory_order_relaxed);

@@ -10,10 +10,9 @@
 
 namespace s3::social::avx2 {
 
-size_t PullWindows(size_t lanes, const pk::SlicedView& m, size_t w_begin,
-                   size_t w_end, const double* in, double* out,
-                   uint32_t* nz, uint8_t* lane_mass) {
-  return pk::PullWindows(lanes, m, w_begin, w_end, in, out, nz, lane_mass);
+size_t PullWindows(size_t lanes, const pk::SlicedView& m, const double* in,
+                   double* out, uint32_t* nz, uint8_t* lane_mass) {
+  return pk::PullWindows(lanes, m, in, out, nz, lane_mass);
 }
 
 void ScatterRows(size_t lanes, const uint64_t* row_ptr, const uint32_t* cols,

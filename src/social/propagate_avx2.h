@@ -21,9 +21,8 @@
 
 namespace s3::social::avx2 {
 
-size_t PullWindows(size_t lanes, const pk::SlicedView& m, size_t w_begin,
-                   size_t w_end, const double* in, double* out,
-                   uint32_t* nz, uint8_t* lane_mass);
+size_t PullWindows(size_t lanes, const pk::SlicedView& m, const double* in,
+                   double* out, uint32_t* nz, uint8_t* lane_mass);
 void ScatterRows(size_t lanes, const uint64_t* row_ptr, const uint32_t* cols,
                  const double* vals, const uint32_t* src, size_t n_src,
                  const double* in, double* out);

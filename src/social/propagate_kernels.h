@@ -74,6 +74,7 @@ struct SlicedView {
   const uint32_t* cols;  // source row of each entry
   const double* vals;    // T value of each entry (0.0 for padding)
   const uint32_t* window;  // first slice of each σ row window; windows + 1
+  size_t n_windows;        // σ row windows
 };
 
 // The header is compiled under different -m flags in two TUs; the
@@ -205,18 +206,18 @@ inline uint32_t PullSlicesT<1>(size_t, const SlicedView& m, size_t s_begin,
 }
 #endif
 
-// The pull sweep over σ windows [w_begin, w_end): writes every row
-// with in-edges, lists the windows' rows with some nonzero lane in
-// `nz` (ascending; room for every row of the range) and sets
-// lane_mass[l] when lane l has any. Returns the count listed. Rows
-// without in-edges are not written and must already be 0.
+// The pull sweep over every σ window: writes every row with in-edges,
+// lists the rows with some nonzero lane in `nz` (ascending; room for
+// every row) and sets lane_mass[l] when lane l has any. Returns the
+// count listed. Rows without in-edges are not written and must already
+// be 0.
 template <int L>
-inline size_t PullWindowsT(size_t lanes, const SlicedView& m, size_t w_begin,
-                           size_t w_end, const double* in, double* out,
-                           uint32_t* nz, uint8_t* lane_mass) {
+inline size_t PullWindowsT(size_t lanes, const SlicedView& m,
+                           const double* in, double* out, uint32_t* nz,
+                           uint8_t* lane_mass) {
   static_assert(kSortWindow == 32, "row masks are 32 bits wide");
   size_t n = 0;
-  for (size_t w = w_begin; w < w_end; ++w) {
+  for (size_t w = 0; w < m.n_windows; ++w) {
     uint32_t mask = PullSlicesT<L>(lanes, m, m.window[w], m.window[w + 1],
                                    in, out, lane_mass);
     for (; mask != 0; mask &= mask - 1) {
@@ -227,21 +228,20 @@ inline size_t PullWindowsT(size_t lanes, const SlicedView& m, size_t w_begin,
   return n;
 }
 
-inline size_t PullWindows(size_t lanes, const SlicedView& m, size_t w_begin,
-                          size_t w_end, const double* in, double* out,
-                          uint32_t* nz, uint8_t* lane_mass) {
+inline size_t PullWindows(size_t lanes, const SlicedView& m,
+                          const double* in, double* out, uint32_t* nz,
+                          uint8_t* lane_mass) {
   switch (lanes) {
     case 1:
-      return PullWindowsT<1>(1, m, w_begin, w_end, in, out, nz, lane_mass);
+      return PullWindowsT<1>(1, m, in, out, nz, lane_mass);
     case 2:
-      return PullWindowsT<2>(2, m, w_begin, w_end, in, out, nz, lane_mass);
+      return PullWindowsT<2>(2, m, in, out, nz, lane_mass);
     case 4:
-      return PullWindowsT<4>(4, m, w_begin, w_end, in, out, nz, lane_mass);
+      return PullWindowsT<4>(4, m, in, out, nz, lane_mass);
     case 8:
-      return PullWindowsT<8>(8, m, w_begin, w_end, in, out, nz, lane_mass);
+      return PullWindowsT<8>(8, m, in, out, nz, lane_mass);
     default:
-      return PullWindowsT<0>(lanes, m, w_begin, w_end, in, out, nz,
-                             lane_mass);
+      return PullWindowsT<0>(lanes, m, in, out, nz, lane_mass);
   }
 }
 

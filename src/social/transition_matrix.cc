@@ -22,15 +22,14 @@ const bool kHaveAvx2 = __builtin_cpu_supports("avx2");
 #endif
 
 inline size_t PullWindowsD(size_t lanes, const pk::SlicedView& m,
-                           size_t w_begin, size_t w_end, const double* in,
-                           double* out, uint32_t* nz, uint8_t* lane_mass) {
+                           const double* in, double* out, uint32_t* nz,
+                           uint8_t* lane_mass) {
 #if defined(S3_SIMD_AVX2)
   if (kHaveAvx2) {
-    return avx2::PullWindows(lanes, m, w_begin, w_end, in, out, nz,
-                             lane_mass);
+    return avx2::PullWindows(lanes, m, in, out, nz, lane_mass);
   }
 #endif
-  return pk::PullWindows(lanes, m, w_begin, w_end, in, out, nz, lane_mass);
+  return pk::PullWindows(lanes, m, in, out, nz, lane_mass);
 }
 
 inline void ScatterRowsD(size_t lanes, const uint64_t* row_ptr,
@@ -397,8 +396,7 @@ void TransitionMatrix::PropagateBatchPull(const BatchFrontier& in,
   out.Clear();
   // The kernel lists nonzero rows in place: room for every row.
   out.nonzero.resize(rows());
-  out.nonzero.resize(PullWindowsD(in.lanes, sliced_.view(), 0,
-                                  sliced_.window.size() - 1, in.values.data(),
+  out.nonzero.resize(PullWindowsD(in.lanes, sliced_.view(), in.values.data(),
                                   out.values.data(), out.nonzero.data(),
                                   out.lane_mass.data()));
 }

@@ -121,7 +121,8 @@ struct SlicedTranspose {
   std::vector<uint32_t> window;  // first slice of each σ window; windows + 1
 
   pk::SlicedView view() const {
-    return {ptr.data(), rows.data(), cols.data(), vals.data(), window.data()};
+    return {ptr.data(), rows.data(), cols.data(), vals.data(), window.data(),
+            window.size() - 1};
   }
 };
 

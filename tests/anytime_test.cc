@@ -421,7 +421,7 @@ TEST(AnytimeServiceTest, EpsilonSweepAndCounters) {
   for (uint64_t b : stats.certified_eps_hist) hist_total += b;
   EXPECT_EQ(hist_total, stats.completed);
   // The operator view renders the anytime block.
-  std::string line = eval::FormatCounters(stats.Counters());
+  std::string line = server::FormatCounters(stats);
   EXPECT_NE(line.find("anytime="), std::string::npos) << line;
   EXPECT_NE(line.find("eps["), std::string::npos) << line;
 }

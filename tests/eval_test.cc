@@ -1,10 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <thread>
 
 #include "eval/metrics.h"
 #include "eval/runtime.h"
-#include "eval/service_stats.h"
 
 namespace s3::eval {
 namespace {
@@ -114,66 +112,6 @@ TEST(TablePrinterTest, AlignsColumns) {
 TEST(FormattersTest, Seconds) { EXPECT_EQ(FormatSeconds(0.1234), "0.123"); }
 
 TEST(FormattersTest, Percent) { EXPECT_EQ(FormatPercent(0.123), "12.3%"); }
-
-// ---- Service-level latency stats -------------------------------------------
-
-TEST(LatencyRecorderTest, EmptySnapshotIsZero) {
-  LatencyRecorder rec;
-  LatencySnapshot s = rec.TakeSnapshot(1.0);
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_DOUBLE_EQ(s.qps, 0.0);
-  EXPECT_DOUBLE_EQ(s.p99_ms, 0.0);
-}
-
-TEST(LatencyRecorderTest, PercentilesAndQps) {
-  LatencyRecorder rec;
-  // 1ms..100ms in 1ms steps over a 2-second window.
-  for (int i = 1; i <= 100; ++i) rec.Add(i * 1e-3);
-  LatencySnapshot s = rec.TakeSnapshot(2.0);
-  EXPECT_EQ(s.count, 100u);
-  EXPECT_DOUBLE_EQ(s.qps, 50.0);
-  EXPECT_NEAR(s.p50_ms, 50.5, 1e-9);   // type-7 quantile of 1..100
-  EXPECT_NEAR(s.p90_ms, 90.1, 1e-9);
-  EXPECT_NEAR(s.p99_ms, 99.01, 1e-9);
-  EXPECT_DOUBLE_EQ(s.max_ms, 100.0);
-  EXPECT_NEAR(s.mean_ms, 50.5, 1e-9);
-}
-
-TEST(LatencyRecorderTest, ConcurrentAddsAllLand) {
-  LatencyRecorder rec;
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 500;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kPerThread; ++i) rec.Add(1e-3);
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(rec.count(), size_t{kThreads * kPerThread});
-  rec.Reset();
-  EXPECT_EQ(rec.count(), 0u);
-}
-
-TEST(LatencyRecorderTest, WindowBoundsMemoryButQpsCountsAll) {
-  LatencyRecorder rec(/*window_capacity=*/4);
-  // 8 adds: the window retains the last 4 (5..8 ms), the total is 8.
-  for (int i = 1; i <= 8; ++i) rec.Add(i * 1e-3);
-  EXPECT_EQ(rec.count(), 8u);
-  LatencySnapshot s = rec.TakeSnapshot(1.0);
-  EXPECT_EQ(s.count, 8u);
-  EXPECT_DOUBLE_EQ(s.qps, 8.0);           // QPS from the total count
-  EXPECT_DOUBLE_EQ(s.max_ms, 8.0);        // percentiles from the window
-  EXPECT_NEAR(s.mean_ms, 6.5, 1e-9);      // mean(5,6,7,8)
-}
-
-TEST(LatencyRecorderTest, FormatSnapshotMentionsTails) {
-  LatencyRecorder rec;
-  rec.Add(0.002);
-  std::string line = FormatSnapshot(rec.TakeSnapshot(1.0));
-  EXPECT_NE(line.find("qps="), std::string::npos);
-  EXPECT_NE(line.find("p99="), std::string::npos);
-}
 
 }  // namespace
 }  // namespace s3::eval

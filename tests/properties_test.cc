@@ -402,7 +402,7 @@ TEST(SlicedPullPropertyTest, RebuiltAfterV2AttachEqualsFreshBuild) {
   p.n_users = 14;
   p.n_docs = 12;
   auto ri = s3::testing::BuildRandomInstance(p);
-  auto blob = SaveBinarySnapshot(*ri.instance, kBinarySnapshotV2);
+  auto blob = SaveBinarySnapshot(*ri.instance);
   ASSERT_TRUE(blob.ok()) << blob.status().ToString();
   auto attached = AttachBinarySnapshot(MappedRegion::FromBuffer(*blob));
   ASSERT_TRUE(attached.ok()) << attached.status().ToString();

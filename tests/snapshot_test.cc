@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -94,6 +93,16 @@ void ExpectSameQueryResults(const S3Instance& got, const S3Instance& want,
     EXPECT_EQ((*a)[i].lower, (*b)[i].lower) << "rank " << i;
     EXPECT_EQ((*a)[i].upper, (*b)[i].upper) << "rank " << i;
   }
+}
+
+// Bytes of a committed fixture under tests/data.
+std::string ReadGolden(const std::string& name) {
+  std::ifstream in(std::string(S3_TEST_DATA_DIR "/") + name,
+                   std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing golden fixture " << name;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
 }
 
 // ---- round trips -------------------------------------------------------
@@ -254,7 +263,7 @@ TEST(SnapshotSeamTest, DetectsAndLoadsBothFormats) {
 
 TEST(SnapshotInspectTest, ReportsSectionsAndMeta) {
   auto fig = s3::testing::BuildFigure1();
-  auto blob = SaveBinarySnapshot(*fig.instance, kBinarySnapshotV2);
+  auto blob = SaveBinarySnapshot(*fig.instance);
   ASSERT_TRUE(blob.ok());
   auto info = InspectBinarySnapshot(*blob);
   ASSERT_TRUE(info.ok()) << info.status().ToString();
@@ -288,10 +297,8 @@ TEST(SnapshotInspectTest, ReportsSectionsAndMeta) {
 }
 
 TEST(SnapshotInspectTest, ReportsV1Sections) {
-  auto fig = s3::testing::BuildFigure1();
-  auto blob = SaveBinarySnapshot(*fig.instance, kBinarySnapshotV1);
-  ASSERT_TRUE(blob.ok());
-  auto info = InspectBinarySnapshot(*blob);
+  const std::string blob = ReadGolden("figure1_v1.snap");
+  auto info = InspectBinarySnapshot(blob);
   ASSERT_TRUE(info.ok()) << info.status().ToString();
   EXPECT_EQ(info->version, kBinarySnapshotV1);
   ASSERT_EQ(info->sections.size(), 14u);
@@ -322,13 +329,19 @@ TEST(SnapshotInspectTest, FlagsCorruptSection) {
 // ---- robustness: corrupt binary input ----------------------------------
 
 // Parameterized over the wire format: both v1 and v2 must reject every
-// truncation, bit flip and garbage input.
+// truncation, bit flip and garbage input. The v1 bytes are the
+// committed Figure 1 fixture (v1 is read-only); v2 is written fresh.
 class BinarySnapshotRobustnessTest
     : public ::testing::TestWithParam<uint32_t> {
  protected:
   void SetUp() override {
+    if (GetParam() == kBinarySnapshotV1) {
+      blob_ = ReadGolden("figure1_v1.snap");
+      ASSERT_FALSE(blob_.empty());
+      return;
+    }
     auto fig = s3::testing::BuildFigure1();
-    auto blob = SaveBinarySnapshot(*fig.instance, GetParam());
+    auto blob = SaveBinarySnapshot(*fig.instance);
     ASSERT_TRUE(blob.ok());
     blob_ = std::move(*blob);
   }
@@ -395,14 +408,9 @@ TEST_P(BinarySnapshotRobustnessTest, GarbageNeverCrashes) {
 // rejected: rewrite a section payload and refresh its stored CRC, so
 // only structural validation stands between the bytes and the engine.
 TEST(BinarySnapshotConfusionTest, CrcValidKindConfusionIsRejected) {
-  // Frame-walking is v1-specific: pin the version.
-  std::string blob_;
-  {
-    auto fig = s3::testing::BuildFigure1();
-    auto v1 = SaveBinarySnapshot(*fig.instance, kBinarySnapshotV1);
-    ASSERT_TRUE(v1.ok());
-    blob_ = std::move(*v1);
-  }
+  // Frame-walking is v1-specific: start from the committed v1 bytes.
+  const std::string blob_ = ReadGolden("figure1_v1.snap");
+  ASSERT_FALSE(blob_.empty());
   // Walk the frame table (8-byte magic, u32 version, u32 count, then
   // per section: u32 id, u64 size, u32 crc, payload) to the EDGES
   // section (id 10).
@@ -502,7 +510,7 @@ class SnapshotAttachTest : public ::testing::Test {
  protected:
   void SetUp() override {
     fig_ = s3::testing::BuildFigure1();
-    auto blob = SaveBinarySnapshot(*fig_.instance, kBinarySnapshotV2);
+    auto blob = SaveBinarySnapshot(*fig_.instance);
     ASSERT_TRUE(blob.ok()) << blob.status().ToString();
     blob_ = std::move(*blob);
   }
@@ -684,70 +692,60 @@ TEST_F(SnapshotAttachTest, ConcurrentAttachAndQueryFromOneRegion) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-TEST(SnapshotVersionTest, ForceV1EnvVarPinsTheDefault) {
-  auto fig = s3::testing::BuildFigure1();
-  ASSERT_EQ(::setenv("S3_FORCE_SNAPSHOT_V1", "ON", 1), 0);
-  auto v1 = SaveBinarySnapshot(*fig.instance);
-  ::unsetenv("S3_FORCE_SNAPSHOT_V1");
-  auto v2 = SaveBinarySnapshot(*fig.instance);
-  ASSERT_TRUE(v1.ok());
-  ASSERT_TRUE(v2.ok());
-  ASSERT_TRUE(InspectBinarySnapshot(*v1).ok());
-  EXPECT_EQ(InspectBinarySnapshot(*v1)->version, kBinarySnapshotV1);
-  EXPECT_EQ(InspectBinarySnapshot(*v2)->version, kBinarySnapshotV2);
-  // Both load back to the same instance.
-  auto a = LoadBinarySnapshot(*v1);
-  auto b = LoadBinarySnapshot(*v2);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ExpectSameDerivedState(**a, **b);
-}
-
-TEST(SnapshotVersionTest, UnknownVersionIsRejected) {
-  auto fig = s3::testing::BuildFigure1();
-  auto saved = SaveBinarySnapshot(*fig.instance, 7);
-  EXPECT_EQ(saved.status().code(), StatusCode::kInvalidArgument);
-}
-
 // ---- golden fixtures ---------------------------------------------------
-// Committed bytes of a Figure 1 snapshot in each format. A codec change
-// that can no longer read them is a compatibility break, not a test to
-// update: v1 and v2 are both read-forever formats.
+// Committed snapshot bytes: Figure 1 in each format, plus a v1 snapshot
+// of BuildRandomInstance seed 71. A codec change that can no longer
+// read them is a compatibility break, not a test to update: v1 and v2
+// are both read-forever formats, and v1 is no longer written, so these
+// files are the only v1 bytes the tests have.
 
-std::string ReadGolden(const std::string& name) {
-  std::ifstream in(std::string(S3_TEST_DATA_DIR "/") + name,
-                   std::ios::binary);
-  EXPECT_TRUE(in.good()) << "missing golden fixture " << name;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
+// A golden fixture and the fresh build its bytes must reproduce.
+struct GoldenCase {
+  const char* name;  // test-name suffix
+  const char* file;  // under tests/data
+  bool random71;     // BuildRandomInstance seed 71; else Figure 1
+};
 
-class GoldenSnapshotTest : public ::testing::TestWithParam<const char*> {};
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.file; }
 
-INSTANTIATE_TEST_SUITE_P(Formats, GoldenSnapshotTest,
-                         ::testing::Values("figure1_v1.snap",
-                                           "figure1_v2.snap"),
-                         [](const auto& info) {
-                           return std::string(info.param, 8, 2);
-                         });
+class GoldenSnapshotTest : public ::testing::TestWithParam<GoldenCase> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Formats, GoldenSnapshotTest,
+    ::testing::Values(GoldenCase{"v1", "figure1_v1.snap", false},
+                      GoldenCase{"v2", "figure1_v2.snap", false},
+                      GoldenCase{"random71_v1", "random71_v1.snap", true}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 TEST_P(GoldenSnapshotTest, LoadsAndMatchesFreshBuild) {
-  const std::string blob = ReadGolden(GetParam());
+  const std::string blob = ReadGolden(GetParam().file);
   ASSERT_FALSE(blob.empty());
-  auto fig = s3::testing::BuildFigure1();
+  std::unique_ptr<S3Instance> fresh;
+  std::vector<Query> queries;
+  if (GetParam().random71) {
+    s3::testing::RandomInstanceParams p;
+    p.seed = 71;
+    auto ri = s3::testing::BuildRandomInstance(p);
+    fresh = std::move(ri.instance);
+    for (social::UserId u = 0; u < fresh->UserCount(); ++u) {
+      queries.push_back(Query{u, {ri.keywords[0]}});
+      queries.push_back(Query{u, {ri.keywords[1], ri.keywords[3]}});
+    }
+  } else {
+    auto fig = s3::testing::BuildFigure1();
+    fresh = std::move(fig.instance);
+    queries.push_back(Query{fig.u1, {fig.kw_degree}});
+    queries.push_back(Query{fig.u0, {fig.kw_university, fig.kw_ms}});
+  }
 
   auto loaded = LoadBinarySnapshot(blob);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ExpectSameDerivedState(**loaded, *fig.instance,
-                         /*check_identity=*/false);
-  ExpectSameQueryResults(**loaded, *fig.instance,
-                         Query{fig.u1, {fig.kw_degree}});
-
   auto attached = AttachBinarySnapshot(MappedRegion::FromBuffer(blob));
   ASSERT_TRUE(attached.ok()) << attached.status().ToString();
-  ExpectSameDerivedState(**attached, *fig.instance,
-                         /*check_identity=*/false);
+  for (const S3Instance* got : {loaded->get(), attached->get()}) {
+    ExpectSameDerivedState(*got, *fresh, /*check_identity=*/false);
+    for (const Query& q : queries) ExpectSameQueryResults(*got, *fresh, q);
+  }
 }
 
 // ---- robustness: corrupt text input ------------------------------------

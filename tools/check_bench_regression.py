@@ -6,7 +6,11 @@ Reads both google-benchmark output ({"benchmarks": [{"name",
 figure harnesses emit ({"benchmarks": [{"name", "ns_per_op", ...}]}).
 Benchmarks present in both files are compared on ns/op; a benchmark
 slower than baseline by more than --tolerance (default 25%) counts as
-a regression and flips the exit code to 1. Entries present on only one
+a regression and flips the exit code to 1. A name with several
+iteration rows (google-benchmark's --benchmark_repetitions) is
+compared on their median, so one noisy repetition neither flags nor
+hides a regression; aggregate rows (mean/median/stddev/cv) are
+ignored. Entries present on only one
 side (e.g. a new benchmark without a committed baseline yet, or a
 baseline record the run skipped) are reported and skipped, never
 failed; a missing baseline *file* is a graceful skip, so the check
@@ -32,8 +36,9 @@ perf is advisory. Locally:
 
 To refresh a baseline after an intentional perf change, run with
 --update-baselines: the committed baseline file is rewritten in place
-from the fresh run (fresh records win; baseline-only records are kept,
-so merged multi-binary baselines survive a partial run). The old
+from the fresh run (fresh records win, one median row per name;
+baseline-only records are kept, so merged multi-binary baselines
+survive a partial run). The old
 manual flow — overwriting the file by hand — is superseded. Commit the
 rewritten file.
 
@@ -75,30 +80,47 @@ def context_cpus(doc):
     return ctx.get("nproc", ctx.get("num_cpus"))
 
 
+def row_ns(record):
+    """ns/op of one record in either format (None when unusable)."""
+    if "ns_per_op" in record:  # BenchJsonWriter format
+        return float(record["ns_per_op"])
+    if "real_time" in record:  # google-benchmark format
+        unit = _UNIT_TO_NS.get(record.get("time_unit", "ns"))
+        if unit is not None:
+            return float(record["real_time"]) * unit
+    return None
+
+
+def median_rows(records):
+    """One row per benchmark name, in first-seen order: the median (by
+    ns/op; the lower one for an even count) of the name's iteration
+    rows. google-benchmark emits aggregate rows (mean/median/stddev/cv)
+    next to the iteration rows when repetitions are configured; those
+    are dropped."""
+    by_name = {}
+    for record in records:
+        if record.get("run_type", "iteration") != "iteration":
+            continue
+        if row_ns(record) is None:
+            continue
+        by_name.setdefault(record["name"], []).append(record)
+    out = []
+    for rows in by_name.values():
+        rows.sort(key=row_ns)
+        out.append(rows[(len(rows) - 1) // 2])
+    return out
+
+
 def load_ns_per_op(path):
-    """Returns {benchmark name: (ns/op, CPU count or None)} from either
-    supported format."""
+    """Returns {benchmark name: (median ns/op, CPU count or None)} from
+    either supported format."""
     with open(path) as f:
         doc = json.load(f)
     file_cpus = context_cpus(doc)
     out = {}
-    for record in doc.get("benchmarks", []):
-        name = record.get("name")
-        if name is None:
-            continue
-        # google-benchmark emits aggregate rows (mean/median/stddev)
-        # alongside iteration rows when repetitions are configured;
-        # compare only the plain iteration rows.
-        if record.get("run_type", "iteration") != "iteration":
-            continue
+    for record in median_rows(records_of(doc)):
         cpus = record["nproc"] if "nproc" in record else file_cpus
-        if "ns_per_op" in record:  # BenchJsonWriter format
-            out[name] = (float(record["ns_per_op"]), cpus)
-        elif "real_time" in record:  # google-benchmark format
-            unit = _UNIT_TO_NS.get(record.get("time_unit", "ns"))
-            if unit is None:
-                continue
-            out[name] = (float(record["real_time"]) * unit, cpus)
+        out[record["name"]] = (row_ns(record), cpus)
     return out
 
 
@@ -131,7 +153,7 @@ def update_baselines(baseline_path, fresh_path):
         print("ERROR: no fresh output at %s" % fresh_path)
         return 1
     fresh_doc = load_doc(fresh_path)
-    fresh = records_of(fresh_doc)
+    fresh = median_rows(records_of(fresh_doc))
     if not fresh:
         print("ERROR: %s holds no benchmark records" % fresh_path)
         return 1

@@ -7,15 +7,12 @@
 //       (checksums are verified and mismatches flagged). Text dumps
 //       are identified and summarized.
 //
-//   s3_snapshot convert <in> <out> [--to=text|binary] [--format=v1|v2]
+//   s3_snapshot convert <in> <out> [--to=text|binary]
 //       Converts between the text codec and the binary snapshot codec
 //       (default: the opposite of the input format). Text -> binary
 //       finalizes the instance (fresh lineage, generation 0); binary
-//       -> text drops derived state by design. --format pins the
-//       binary wire version (default v2, or v1 under
-//       S3_FORCE_SNAPSHOT_V1) — so `--to=binary --format=v1`
-//       downgrades a v2 snapshot for an old reader, and --format=v2
-//       upgrades a v1 file in place.
+//       -> text drops derived state by design. Binary output is always
+//       v2, so `--to=binary` upgrades a v1 file.
 //
 //   s3_snapshot recover <dir>
 //       Dry-run of SnapshotManager::Recover on a storage directory:
@@ -68,8 +65,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage:\n"
                "  s3_snapshot inspect <file>\n"
-               "  s3_snapshot convert <in> <out> [--to=text|binary] "
-               "[--format=v1|v2]\n"
+               "  s3_snapshot convert <in> <out> [--to=text|binary]\n"
                "  s3_snapshot recover <dir>\n");
   return 2;
 }
@@ -158,24 +154,9 @@ int Inspect(const std::string& path) {
   return 0;
 }
 
+// `to_flag` is the optional --to=... argument (nullptr when absent).
 int Convert(const std::string& in_path, const std::string& out_path,
-            int n_flags, char** flags) {
-  const char* to_flag = nullptr;
-  uint32_t binary_version = s3::core::DefaultBinarySnapshotVersion();
-  bool version_pinned = false;
-  for (int i = 0; i < n_flags; ++i) {
-    if (std::strncmp(flags[i], "--to=", 5) == 0) {
-      to_flag = flags[i];
-    } else if (std::strcmp(flags[i], "--format=v1") == 0) {
-      binary_version = s3::core::kBinarySnapshotV1;
-      version_pinned = true;
-    } else if (std::strcmp(flags[i], "--format=v2") == 0) {
-      binary_version = s3::core::kBinarySnapshotV2;
-      version_pinned = true;
-    } else {
-      return Usage();
-    }
-  }
+            const char* to_flag) {
   std::string bytes;
   if (!ReadWholeFile(in_path, &bytes)) {
     std::fprintf(stderr, "cannot read %s\n", in_path.c_str());
@@ -199,15 +180,6 @@ int Convert(const std::string& in_path, const std::string& out_path,
       return Usage();
     }
   }
-  // --format=... implies a binary target (so `--format=v2` alone
-  // upgrades a binary v1 file instead of bouncing through text).
-  if (version_pinned && to_flag == nullptr) {
-    out_format = SnapshotFormat::kBinary;
-  }
-  if (version_pinned && out_format != SnapshotFormat::kBinary) {
-    std::fprintf(stderr, "--format=v1|v2 only applies to binary output\n");
-    return 2;
-  }
 
   auto instance = s3::core::LoadSnapshot(bytes);
   if (!instance.ok()) {
@@ -215,10 +187,7 @@ int Convert(const std::string& in_path, const std::string& out_path,
                  instance.status().ToString().c_str());
     return 1;
   }
-  auto out_bytes =
-      out_format == SnapshotFormat::kBinary
-          ? s3::core::SaveBinarySnapshot(**instance, binary_version)
-          : s3::core::SaveSnapshot(**instance, out_format);
+  auto out_bytes = s3::core::SaveSnapshot(**instance, out_format);
   if (!out_bytes.ok()) {
     std::fprintf(stderr, "convert: %s\n",
                  out_bytes.status().ToString().c_str());
@@ -233,10 +202,7 @@ int Convert(const std::string& in_path, const std::string& out_path,
   std::printf("%s (%s) -> %s (%s%s), generation %llu\n", in_path.c_str(),
               s3::core::SnapshotFormatName(*in_format), out_path.c_str(),
               s3::core::SnapshotFormatName(out_format),
-              out_format == SnapshotFormat::kBinary
-                  ? (binary_version == s3::core::kBinarySnapshotV1 ? " v1"
-                                                                   : " v2")
-                  : "",
+              out_format == SnapshotFormat::kBinary ? " v2" : "",
               static_cast<unsigned long long>((*instance)->generation()));
   return 0;
 }
@@ -268,8 +234,8 @@ int main(int argc, char** argv) {
   if (argc < 3) return Usage();
   const std::string command = argv[1];
   if (command == "inspect" && argc == 3) return Inspect(argv[2]);
-  if (command == "convert" && argc >= 4 && argc <= 6) {
-    return Convert(argv[2], argv[3], argc - 4, argv + 4);
+  if (command == "convert" && (argc == 4 || argc == 5)) {
+    return Convert(argv[2], argv[3], argc == 5 ? argv[4] : nullptr);
   }
   if (command == "recover" && argc == 3) return Recover(argv[2]);
   return Usage();
